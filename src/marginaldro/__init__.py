@@ -24,7 +24,6 @@ from .objectives import (
     pairwise_distance_power,
     primal_inner_sup,
     robust_surrogate,
-    subgradient,
 )
 from .optim import (
     DivergenceError,
@@ -71,6 +70,5 @@ __all__ = [
     "replicate_worst_case",
     "rkhs_objective",
     "robust_surrogate",
-    "subgradient",
     "train",
 ]

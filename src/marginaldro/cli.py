@@ -27,7 +27,7 @@ from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT
 from .duals import RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
 from .model import Dataset, ParamVector
-from .optim import DivergenceError, OptimizerConfig, train
+from .optim import OBJECTIVES, PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, train
 from .tuning import cross_validate
 
 USAGE_EXIT = 2
@@ -95,9 +95,7 @@ def _build_parser():
     t = sub.add_parser("train", help="train a model on a CSV dataset")
     common(t)
     t.add_argument("--in-csv", required=False)
-    t.add_argument("--objective", choices=("erm", "joint_cvar", "joint_pnorm", "marginal",
-                                           "marginal_confounded", "rkhs", "bounded_holder"),
-                   default="erm")
+    t.add_argument("--objective", choices=OBJECTIVES, default="erm")
     t.add_argument("--loss", choices=("absolute_deviation", "logistic"),
                    default="absolute_deviation")
     t.add_argument("--alpha0", type=float, default=0.3)
@@ -141,8 +139,7 @@ def _build_parser():
     c.add_argument("--n", type=int, default=2000)
     c.add_argument("--d", type=int, default=1)
     c.add_argument("--alpha-true", type=float, default=0.15)
-    c.add_argument("--objective", choices=("marginal", "marginal_confounded",
-                                           "bounded_holder"), default="marginal")
+    c.add_argument("--objective", choices=PLAN_OBJECTIVES, default="marginal")
     c.add_argument("--loss", choices=("absolute_deviation", "logistic"),
                    default="absolute_deviation")
     c.add_argument("--alpha0", type=float, default=0.3)
@@ -341,7 +338,7 @@ def _robust_spec(args) -> RobustSpec:
 
 def _opt_config(args, objective=None) -> OptimizerConfig:
     return OptimizerConfig(objective=objective or args.objective, max_iters=args.iters,
-                           step0=args.step0, seed=_seed_of(args), ridge=args.ridge,
+                           step0=args.step0, ridge=args.ridge,
                            fit_intercept=not args.no_intercept)
 
 

@@ -11,6 +11,10 @@ distance-dependent cost.  The training surrogate wraps it as
 (1/alpha0) * max(objective, eps^(q-1)) + eta.  A confounded variant adds an
 entrywise penalty 2 delta^(p-1) / (eps n^2) * sum |B_ij| that interpolates
 toward the joint-DRO solution (B = 0) as delta grows.
+
+``TransportKernel`` is the one implementation the solvers use: surrogate
+value, hinge weights and the fused projected plan step.  The value-only
+functions here are the references it is checked against.
 """
 
 from __future__ import annotations
@@ -20,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import RobustSpec
-from .model import ParamVector, _check_kind, loss_residual_slopes, loss_values
+from .model import ParamVector, loss_values
 
 # default policy: eps is set so the floor term eps^(q-1)/alpha0 stays below
 # this fraction of the mean loss
 FLOOR_FRACTION = 1e-3
+
+# dense n x n plans are stored in float32 from this sample size on
+FLOAT32_PLAN_N = 1024
 
 
 @dataclass
@@ -141,43 +148,94 @@ def robust_surrogate(state: DualState, dataset, kind: str, spec: RobustSpec,
     return max(value, floor_value(spec)) / spec.alpha0 + state.eta
 
 
-def subgradient(state: DualState, dataset, kind: str, spec: RobustSpec,
-                confounded: bool = False):
-    """Subgradient of ``robust_surrogate`` at ``state``.
+class DensePlanStep:
+    """A folded plan penalty and the projected plan step every solver takes.
 
-    Returns
-    -------
-    (g_theta, g_eta, g_plan)
-        ``g_theta`` has length d + 1 (intercept last); ``g_plan`` is n x n.
-    When the floor is active everything vanishes except g_eta = 1.
+    A transport surrogate depends on the plan B through a linear penalty
+    <pen_dist, B> and through the adjustments c = (B 1 - B^T 1) / n, so its
+    plan gradient is always pen_dist_ij + vec_j - vec_i for a per-example
+    ``vec`` (None when the gradient vanishes).  The n x n arrays are float32
+    from FLOAT32_PLAN_N examples on, halving their memory traffic; values
+    and weights stay float64.
     """
-    _check_kind(kind, trainable=True)
-    losses = loss_values(kind, state.params, dataset.features, dataset.labels)
-    dist = pairwise_distance_power(dataset.features, spec.p)
-    spec = resolve_eps(spec, losses)
-    n = losses.size
-    c = plan_adjustments(state.plan)
-    if np.any(np.asarray(state.plan) < 0):
-        raise ValueError("plan entries must be nonnegative")
 
-    block, w = _hinge_block_and_weights(losses - c - state.eta, spec.p)
-    pen_coef = penalty_coefficient(spec)
-    value = block + pen_coef * float(np.vdot(dist, state.plan)) / n**2
-    conf_coef = confounding_coefficient(spec) if confounded else 0.0
-    if confounded:
-        value += conf_coef * float(state.plan.sum()) / n**2
+    def __init__(self, pen_dist: np.ndarray):
+        n = pen_dist.shape[0]
+        self.dtype = np.dtype(np.float32 if n >= FLOAT32_PLAN_N else np.float64)
+        self.pen_dist = pen_dist.astype(self.dtype, copy=False)
+        self._buf = np.empty_like(self.pen_dist)
 
-    if value < floor_value(spec):
-        g_theta = np.zeros(dataset.d + 1)
-        return g_theta, 1.0, np.zeros((n, n))
+    def plan_grad(self, vec) -> np.ndarray:
+        """The plan gradient as an n x n array, in a buffer reused per call."""
+        if vec is None:
+            self._buf.fill(0.0)
+            return self._buf
+        m = (-vec).astype(self.dtype)
+        g_plan = np.subtract.outer(m, m, out=self._buf)
+        g_plan += self.pen_dist
+        return g_plan
 
-    slopes = loss_residual_slopes(kind, state.params, dataset.features, dataset.labels)
-    wr = w * slopes
-    g_theta = np.append(dataset.features.T @ wr, wr.sum()) / spec.alpha0
-    g_eta = 1.0 - w.sum() / spec.alpha0
-    g_plan = (-(w[:, None] - w[None, :]) / n + pen_coef * dist / n**2 + conf_coef / n**2)
-    g_plan /= spec.alpha0
-    return g_theta, g_eta, g_plan
+    def plan_step(self, plan: np.ndarray, vec, step: float):
+        """In-place projected update ``plan = max(plan - step n^2 g_plan, 0)``.
+
+        The n^2 preconditions the plan block: its gradient scales like 1/n^2
+        while optimal entries are O(1).  The update is fused into broadcast
+        passes on the plan instead of materializing the gradient.
+        """
+        if vec is None:
+            return
+        n = plan.shape[0]
+        scale = step * n * n
+        u = (scale * vec).astype(self.dtype)
+        plan += u[:, None]
+        plan -= u[None, :]
+        np.multiply(self.pen_dist, self.dtype.type(scale), out=self._buf)
+        plan -= self._buf
+        np.maximum(plan, 0.0, out=plan)
+
+
+class TransportKernel(DensePlanStep):
+    """The floored transport surrogate at fixed distances, as solvers evaluate it.
+
+    ``pen_dist`` folds the penalty coefficient, the confounding constant and
+    1/alpha0: (pen_coef dist + conf_coef) / (n^2 alpha0).  The surrogate is
+    then (1/alpha0) max(core, floor) + eta with
+    core = S(h) + alpha0 <pen_dist, B>, where S is the hinge block of
+    h = (l - c - eta)_+; it equals ``robust_surrogate`` up to rounding.
+    ``dist`` (float64) is overwritten: folding in place makes no n x n
+    temporary.
+    """
+
+    def __init__(self, dist: np.ndarray, spec: RobustSpec, confounded: bool = False):
+        n = dist.shape[0]
+        conf_coef = confounding_coefficient(spec) if confounded else 0.0
+        dist *= penalty_coefficient(spec)
+        dist += conf_coef
+        dist /= n * n * spec.alpha0
+        super().__init__(dist)
+        self.alpha0 = spec.alpha0
+        self.p = spec.p
+        self.floor = floor_value(spec)
+
+    def evaluate(self, losses: np.ndarray, eta: float, plan: np.ndarray):
+        """Surrogate value, hinge weights v and plan vector at (losses, eta, B).
+
+        v_i = dS/dh_i = (p-1)/n h_i^(p-1) a^((1-p)/p) with a = (p-1) mean(h^p),
+        and the plan vector is v / (n alpha0).  Below the floor the surrogate
+        is flat in everything but eta: v is zero and the plan vector None.
+        """
+        p, a0 = self.p, self.alpha0
+        n = losses.size
+        c = plan_adjustments(plan)
+        h = np.maximum(losses - c - eta, 0.0)
+        a = (p - 1.0) * float(np.mean(h**p))
+        core = a ** (1.0 / p) + a0 * float(np.vdot(self.pen_dist, plan))
+        value = max(core, self.floor) / a0 + eta
+        if core >= self.floor:
+            wt = ((p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p)
+                  if a > 0 else np.zeros(n))
+            return value, wt, wt / (n * a0)
+        return value, np.zeros(n), None
 
 
 def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec,
@@ -263,15 +321,3 @@ def _check_inputs(losses, plan, dist):
 def _hinge_block(adjusted, p: float) -> float:
     h = np.maximum(adjusted, 0.0)
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
-
-
-def _hinge_block_and_weights(adjusted, p: float):
-    """The hinge block S and its partials dS/dh_i (zero where the hinge is off)."""
-    h = np.maximum(adjusted, 0.0)
-    n = h.size
-    a = (p - 1.0) / n * np.sum(h**p)
-    s = a ** (1.0 / p)
-    if a <= 0.0:
-        return 0.0, np.zeros(n)
-    w = (p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p)
-    return float(s), w

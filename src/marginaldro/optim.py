@@ -12,17 +12,16 @@ extra n).  The optimum is unchanged; only the step geometry is.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .duals import RobustSpec, cvar_dual, pnorm_dual
 from .model import Dataset, ParamVector, loss_values, loss_residual_slopes
 from .objectives import (
-    confounding_coefficient,
-    floor_value,
+    DensePlanStep,
+    TransportKernel,
     pairwise_distance_power,
-    penalty_coefficient,
     plan_adjustments,
     resolve_eps,
 )
@@ -30,8 +29,13 @@ from .variational import KernelSpec, gram, holder_constant, median_bandwidth
 
 OBJECTIVES = ("erm", "joint_cvar", "joint_pnorm", "marginal",
               "marginal_confounded", "rkhs", "bounded_holder")
+# the objectives that carry a dense n x n transport plan
+PLAN_OBJECTIVES = ("marginal", "marginal_confounded", "bounded_holder")
 
 DENSE_PLAN_WARN_N = 20000
+
+# the joint objectives reset eta to its exact minimizer every this many steps
+ETA_REFRESH = 10
 
 
 class DivergenceError(RuntimeError):
@@ -44,16 +48,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class OptimizerConfig:
+    """Step sizes follow step0 / sqrt(t + 1)."""
+
     objective: str = "erm"
     max_iters: int = 400
     step0: float = 0.2
-    schedule: str = "inv_sqrt"
     tol: float = 0.0
-    seed: int = 0
     ridge: float = 0.0
-    eta_refresh: int = 10
     fit_intercept: bool = True
-    plan_dtype: str = "auto"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -62,12 +64,8 @@ class OptimizerConfig:
             raise ValueError("max_iters must be >= 1")
         if self.step0 <= 0:
             raise ValueError("step0 must be > 0")
-        if self.schedule not in ("constant", "inv_sqrt"):
-            raise ValueError(f"schedule must be constant or inv_sqrt, got {self.schedule!r}")
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
-        if self.plan_dtype not in ("auto", "float32", "float64"):
-            raise ValueError("plan_dtype must be auto, float32 or float64")
 
 
 @dataclass
@@ -84,54 +82,46 @@ class ObjectiveFunction:
     """Value and subgradient of one training objective at (w, eta, plan, beta).
 
     ``w`` stacks theta and the intercept (last coordinate).  Unused blocks
-    are ignored and get gradient None.  Distances and Gram matrices are
-    precomputed once, so repeated evaluation is cheap; plan gradients reuse
-    one buffer, and ``dtype`` can downgrade the n x n arrays to float32 to
-    halve memory traffic on large samples (the returned values stay scalar
-    float64).
+    are ignored and get gradient None.  Each objective is a loss-space
+    kernel in ``_KERNELS`` that returns (value, v, s, extra): per-example
+    weights v and a divisor s give g_w = xa^T (v * slopes) / s and
+    g_eta = 1 - sum(v) / s, and ``extra`` is the plan vector of
+    ``DensePlanStep`` or the beta gradient.  Distances and Gram matrices
+    are precomputed once, so repeated evaluation is cheap.
     """
 
     def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str,
-                 kernel: KernelSpec | None = None, ridge: float = 0.0,
-                 dtype=np.float64):
+                 kernel: KernelSpec | None = None, ridge: float = 0.0):
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         self.dataset = dataset
         self.kind = kind
         self.objective = objective
         self.ridge = ridge
-        self.dtype = np.dtype(dtype)
         self.xa = np.column_stack([dataset.features, np.ones(dataset.n)])
+        self.uses_eta = objective != "erm"
+        self.uses_plan = objective in PLAN_OBJECTIVES
+        self.uses_beta = objective == "rkhs"
         n = dataset.n
-        if objective in ("marginal", "marginal_confounded", "bounded_holder"):
+        if self.uses_plan:
             spec = resolve_eps(spec, loss_values(kind, ParamVector(np.zeros(dataset.d)),
                                                  dataset.features, dataset.labels))
             dist = pairwise_distance_power(dataset.features, spec.p)
-            self._gplan = np.empty((n, n), dtype=self.dtype)
+            if objective == "bounded_holder":
+                dist *= holder_constant(spec)
+                dist /= n * n
+                self.transport = DensePlanStep(dist)
+            else:
+                self.transport = TransportKernel(dist, spec,
+                                                 objective == "marginal_confounded")
             self._plan_vec: np.ndarray | None = None
-        if objective in ("marginal", "marginal_confounded"):
-            self.pen_coef = penalty_coefficient(spec)
-            self.conf_coef = (confounding_coefficient(spec)
-                              if objective == "marginal_confounded" else 0.0)
-            self.floor = floor_value(spec)
-            # combined plan-linear coefficients of the surrogate gradient:
-            # (pen_coef * dist + conf_coef) / (n^2 alpha0)
-            pd = self.pen_coef * dist + self.conf_coef
-            pd /= n * n * spec.alpha0
-            self.pen_dist = pd.astype(self.dtype, copy=False)
-        if objective == "bounded_holder":
-            self.lcoef = holder_constant(spec)
-            self.pen_dist = (self.lcoef * dist / (n * n)).astype(self.dtype, copy=False)
-        if objective == "rkhs":
+        if self.uses_beta:
             if kernel is None:
                 kernel = KernelSpec(bandwidth=median_bandwidth(dataset.features))
             self.kernel = kernel
             self.k = gram(dataset.features, kernel, check=False)
         self.spec = spec
         self.last_losses: np.ndarray | None = None
-        self.uses_eta = objective != "erm"
-        self.uses_plan = objective in ("marginal", "marginal_confounded", "bounded_holder")
-        self.uses_beta = objective == "rkhs"
 
     def losses(self, w: np.ndarray) -> np.ndarray:
         params = ParamVector(w[:-1], w[-1])
@@ -150,114 +140,72 @@ class ObjectiveFunction:
         losses = loss_values(self.kind, params, ds.features, ds.labels)
         slopes = loss_residual_slopes(self.kind, params, ds.features, ds.labels)
         self.last_losses = losses
-        n = ds.n
-        a0 = self.spec.alpha0
-        p = self.spec.p
-
-        if self.objective == "erm":
-            value = float(losses.mean())
-            g_w = self.xa.T @ slopes / n
-            g_eta = g_plan = g_beta = None
-
-        elif self.objective == "joint_cvar":
-            h = np.maximum(losses - eta, 0.0)
-            value = float(h.sum()) / (a0 * n) + eta
-            wt = (h > 0).astype(float) / n
-            g_w = self.xa.T @ (wt * slopes) / a0
-            g_eta = 1.0 - wt.sum() / a0
-            g_plan = g_beta = None
-
-        elif self.objective == "joint_pnorm":
-            h = np.maximum(losses - eta, 0.0)
-            a = float(np.mean(h**p))
-            value = a ** (1.0 / p) / a0 + eta
-            wt = h ** (p - 1.0) * a ** ((1.0 - p) / p) / n if a > 0 else np.zeros(n)
-            g_w = self.xa.T @ (wt * slopes) / a0
-            g_eta = 1.0 - wt.sum() / a0
-            g_plan = g_beta = None
-
-        elif self.objective in ("marginal", "marginal_confounded"):
-            c = np.asarray(plan_adjustments(plan), dtype=float)
-            h = np.maximum(losses - c - eta, 0.0)
-            a = (p - 1.0) * float(np.mean(h**p))
-            # pen_dist folds the confounding constant and the 1/alpha0
-            core = a ** (1.0 / p) + a0 * float(np.vdot(self.pen_dist, plan))
-            value = max(core, self.floor) / a0 + eta
-            if core >= self.floor:
-                wt = ((p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p)
-                      if a > 0 else np.zeros(n))
-                g_w = self.xa.T @ (wt * slopes) / a0
-                g_eta = 1.0 - wt.sum() / a0
-                self._plan_vec = wt / (n * a0)
-                if with_plan_grad:
-                    m = (-wt / (n * a0)).astype(self.dtype)
-                    g_plan = np.subtract.outer(m, m, out=self._gplan)
-                    g_plan += self.pen_dist
-                else:
-                    g_plan = None
-            else:
-                g_w = np.zeros_like(w)
-                g_eta = 1.0
-                self._plan_vec = None
-                if with_plan_grad:
-                    g_plan = self._gplan
-                    g_plan.fill(0.0)
-                else:
-                    g_plan = None
-            g_beta = None
-
-        elif self.objective == "bounded_holder":
-            c = np.asarray(plan_adjustments(plan), dtype=float)
-            active = (losses - c - eta > 0).astype(float)
-            value = (float(np.maximum(losses - c - eta, 0.0).sum()) / (a0 * n)
-                     + float(np.vdot(self.pen_dist, plan)) + eta)
-            g_w = self.xa.T @ (active * slopes) / (a0 * n)
-            g_eta = 1.0 - active.sum() / (a0 * n)
-            self._plan_vec = active / (a0 * n * n)
+        value, v, s, extra = self._KERNELS[self.objective](self, losses, eta, plan, beta)
+        g_w = self.xa.T @ (v * slopes) / s
+        g_eta = 1.0 - v.sum() / s if self.uses_eta else None
+        g_plan = g_beta = None
+        if self.uses_plan:
+            self._plan_vec = extra
             if with_plan_grad:
-                m = (-active / (a0 * n * n)).astype(self.dtype)
-                g_plan = np.subtract.outer(m, m, out=self._gplan)
-                g_plan += self.pen_dist
-            else:
-                g_plan = None
-            g_beta = None
-
-        else:  # rkhs
-            margin = losses - eta + beta
-            active = (margin > 0).astype(float)
-            kb = self.k @ beta
-            quad = max(float(beta @ kb), 0.0)
-            norm = np.sqrt(quad / self.kernel.radius)
-            value = float(np.maximum(margin, 0.0).sum()) / (a0 * n) + norm / n + eta
-            g_w = self.xa.T @ (active * slopes) / (a0 * n)
-            g_eta = 1.0 - active.sum() / (a0 * n)
-            g_beta = active / (a0 * n)
-            if norm > 0:
-                g_beta = g_beta + kb / (self.kernel.radius * norm * n)
-            g_plan = None
-
+                g_plan = self.transport.plan_grad(extra)
+        elif self.uses_beta:
+            g_beta = extra
         if self.ridge:
             value += self.ridge * float(w[:-1] @ w[:-1])
-            g_w = g_w.copy()
             g_w[:-1] += 2.0 * self.ridge * w[:-1]
         return value, g_w, g_eta, g_plan, g_beta
 
     def plan_step(self, plan: np.ndarray, step: float):
-        """In-place projected plan update, n^2 times the last plan gradient.
+        """In-place projected plan update, n^2 times the last plan gradient."""
+        self.transport.plan_step(plan, self._plan_vec, step)
 
-        Equivalent to ``plan = max(plan - step * n^2 * g_plan, 0)`` but fused
-        into broadcast passes instead of materializing the gradient.
-        """
-        if self._plan_vec is None:  # floor active, plan gradient is zero
-            return
-        n = plan.shape[0]
-        scale = step * n * n
-        u = (scale * self._plan_vec).astype(self.dtype)
-        plan += u[:, None]
-        plan -= u[None, :]
-        np.multiply(self.pen_dist, self.dtype.type(scale), out=self._gplan)
-        plan -= self._gplan
-        np.maximum(plan, 0.0, out=plan)
+    # loss-space kernels: (losses, eta, plan, beta) -> (value, v, s, extra)
+
+    def _erm(self, losses, eta, plan, beta):
+        return float(losses.mean()), 1.0, self.dataset.n, None
+
+    def _joint_cvar(self, losses, eta, plan, beta):
+        n, a0 = self.dataset.n, self.spec.alpha0
+        h = np.maximum(losses - eta, 0.0)
+        value = float(h.sum()) / (a0 * n) + eta
+        return value, (h > 0).astype(float) / n, a0, None
+
+    def _joint_pnorm(self, losses, eta, plan, beta):
+        n, a0, p = self.dataset.n, self.spec.alpha0, self.spec.p
+        h = np.maximum(losses - eta, 0.0)
+        a = float(np.mean(h**p))
+        value = a ** (1.0 / p) / a0 + eta
+        v = h ** (p - 1.0) * a ** ((1.0 - p) / p) / n if a > 0 else np.zeros(n)
+        return value, v, a0, None
+
+    def _transport(self, losses, eta, plan, beta):
+        value, v, vec = self.transport.evaluate(losses, eta, plan)
+        return value, v, self.spec.alpha0, vec
+
+    def _bounded_holder(self, losses, eta, plan, beta):
+        n, a0 = self.dataset.n, self.spec.alpha0
+        margin = losses - plan_adjustments(plan) - eta
+        active = (margin > 0).astype(float)
+        value = (float(np.maximum(margin, 0.0).sum()) / (a0 * n)
+                 + float(np.vdot(self.transport.pen_dist, plan)) + eta)
+        return value, active, a0 * n, active / (a0 * n * n)
+
+    def _rkhs(self, losses, eta, plan, beta):
+        n, a0 = self.dataset.n, self.spec.alpha0
+        margin = losses - eta + beta
+        active = (margin > 0).astype(float)
+        kb = self.k @ beta
+        quad = max(float(beta @ kb), 0.0)
+        norm = np.sqrt(quad / self.kernel.radius)
+        value = float(np.maximum(margin, 0.0).sum()) / (a0 * n) + norm / n + eta
+        g_beta = active / (a0 * n)
+        if norm > 0:
+            g_beta = g_beta + kb / (self.kernel.radius * norm * n)
+        return value, active, a0 * n, g_beta
+
+    _KERNELS = {"erm": _erm, "joint_cvar": _joint_cvar, "joint_pnorm": _joint_pnorm,
+                "marginal": _transport, "marginal_confounded": _transport,
+                "bounded_holder": _bounded_holder, "rkhs": _rkhs}
 
 
 def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
@@ -267,19 +215,13 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     The trace holds the running-best objective value per iteration, hence is
     nonincreasing.  Identical inputs give bitwise-identical traces.
     """
-    if opt.objective in ("marginal", "marginal_confounded", "bounded_holder"):
-        if dataset.n > DENSE_PLAN_WARN_N:
-            warnings.warn(
-                f"dense transport plan stores 8*n^2 = {8 * dataset.n**2 / 1e9:.1f} GB "
-                f"for n = {dataset.n}",
-                RuntimeWarning,
-            )
-    if opt.plan_dtype == "auto":
-        dtype = np.float32 if dataset.n >= 1024 else np.float64
-    else:
-        dtype = np.dtype(opt.plan_dtype)
-    fn = ObjectiveFunction(dataset, kind, spec, opt.objective, kernel, opt.ridge,
-                           dtype=dtype)
+    if opt.objective in PLAN_OBJECTIVES and dataset.n > DENSE_PLAN_WARN_N:
+        warnings.warn(
+            f"dense transport plan stores 8*n^2 = {8 * dataset.n**2 / 1e9:.1f} GB "
+            f"for n = {dataset.n}",
+            RuntimeWarning,
+        )
+    fn = ObjectiveFunction(dataset, kind, spec, opt.objective, kernel, opt.ridge)
     spec = fn.spec
     n = dataset.n
 
@@ -288,7 +230,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     if fn.uses_eta:
         eta = cvar_dual(fn.losses(w), spec.alpha0)[1]
     if fn.uses_plan:
-        plan = np.zeros((n, n), dtype=fn.dtype)
+        plan = np.zeros((n, n), dtype=fn.transport.dtype)
     if fn.uses_beta:
         beta = np.zeros(n)
 
@@ -299,7 +241,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     trace = []
     window = 25
     for t in range(opt.max_iters):
-        if joint and opt.eta_refresh and t % opt.eta_refresh == 0:
+        if joint and t % ETA_REFRESH == 0:
             p_eff = spec.p if opt.objective == "joint_pnorm" else 1.0
             eta = optimal_eta_exact(fn.losses(w), spec.alpha0, p_eff)
         value, g_w, g_eta, _, g_beta = fn.value_grad(w, eta, plan, beta,
@@ -316,7 +258,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
             prev = trace[-window - 1]
             if prev - best_value <= opt.tol * max(abs(prev), 1e-12):
                 break
-        step = opt.step0 if opt.schedule == "constant" else opt.step0 / np.sqrt(t + 1.0)
+        step = opt.step0 / np.sqrt(t + 1.0)
         w = w - step * g_w
         if not opt.fit_intercept:
             w[-1] = 0.0
@@ -349,37 +291,15 @@ def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
                   step0: float = 0.2, confounded: bool = False):
     """Infimum of the transport objective over plans at fixed losses and eta.
 
-    Plain projected subgradient descent on B with the n^2 preconditioner;
-    returns (best value, best plan).
+    The frozen-loss descent with eta fixed, alpha0 = 1 and no floor, so the
+    surrogate is the bare objective plus eta; returns (best value, best plan).
     """
     losses = np.asarray(losses, dtype=float).ravel()
-    n = losses.size
-    spec = resolve_eps(spec, losses)
-    pen_coef = penalty_coefficient(spec)
-    conf_coef = confounding_coefficient(spec) if confounded else 0.0
-    dist = np.asarray(dist, dtype=float)
-    p = spec.p
-    plan = np.zeros((n, n))
-    best_value, best_plan = np.inf, plan.copy()
-    for t in range(iters):
-        c = plan_adjustments(plan)
-        h = np.maximum(losses - c - eta, 0.0)
-        a = (p - 1.0) * float(np.mean(h**p))
-        value = a ** (1.0 / p) + pen_coef * float(np.vdot(dist, plan)) / n**2
-        if confounded:
-            value += conf_coef * float(plan.sum()) / n**2
-        if value < best_value:
-            best_value = value
-            np.copyto(best_plan, plan)
-        wt = (p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p) if a > 0 else np.zeros(n)
-        upd = wt[:, None] - wt[None, :]
-        upd *= n
-        upd -= pen_coef * dist
-        if confounded:
-            upd -= conf_coef
-        plan += (step0 / np.sqrt(t + 1.0)) * upd
-        np.maximum(plan, 0.0, out=plan)
-    return float(best_value), best_plan
+    spec = replace(resolve_eps(spec, losses), alpha0=1.0)
+    kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)
+    kernel.floor = 0.0
+    value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0)
+    return float(value - eta), plan
 
 
 def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
@@ -390,39 +310,29 @@ def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
     (1/alpha0) max(objective, eps^(q-1)) + eta.
     """
     losses = np.asarray(losses, dtype=float).ravel()
-    n = losses.size
     spec = resolve_eps(spec, losses)
-    pen_coef = penalty_coefficient(spec)
-    conf_coef = confounding_coefficient(spec) if confounded else 0.0
-    floor = floor_value(spec)
-    dist = np.asarray(dist, dtype=float)
-    p = spec.p
-    bound = _eta_bound(spec, losses)
+    kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)
     eta = cvar_dual(losses, spec.alpha0)[1]
-    plan = np.zeros((n, n))
-    best = (np.inf, eta, plan.copy())
+    value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0,
+                                            eta_bound=_eta_bound(spec, losses))
+    return float(value), float(eta), plan
+
+
+def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int,
+                         step0: float, eta_bound: float | None = None):
+    """Projected subgradient descent on the plan at fixed losses, and on eta
+    too unless ``eta_bound`` is None; returns the best (value, eta, plan)."""
+    n = losses.size
+    plan = np.zeros((n, n), dtype=kernel.dtype)
+    best_value, best_eta, best_plan = np.inf, eta, plan.copy()
     for t in range(iters):
-        c = plan_adjustments(plan)
-        h = np.maximum(losses - c - eta, 0.0)
-        a = (p - 1.0) * float(np.mean(h**p))
-        core = a ** (1.0 / p) + pen_coef * float(np.vdot(dist, plan)) / n**2
-        if confounded:
-            core += conf_coef * float(plan.sum()) / n**2
-        value = max(core, floor) / spec.alpha0 + eta
-        if value < best[0]:
-            best = (value, eta, plan.copy())
+        value, wt, vec = kernel.evaluate(losses, eta, plan)
+        if value < best_value:
+            best_value, best_eta = value, eta
+            np.copyto(best_plan, plan)
         step = step0 / np.sqrt(t + 1.0)
-        if core >= floor:
-            wt = (p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p) if a > 0 else np.zeros(n)
-            g_eta = 1.0 - wt.sum() / spec.alpha0
-            upd = wt[:, None] - wt[None, :]
-            upd *= n
-            upd -= pen_coef * dist
-            if confounded:
-                upd -= conf_coef
-            plan += (step / spec.alpha0) * upd
-            np.maximum(plan, 0.0, out=plan)
-        else:
-            g_eta = 1.0
-        eta = float(np.clip(eta - step * g_eta, 0.0, bound))
-    return float(best[0]), float(best[1]), best[2]
+        kernel.plan_step(plan, vec, step)
+        if eta_bound is not None:
+            g_eta = 1.0 - wt.sum() / kernel.alpha0
+            eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
+    return best_value, best_eta, best_plan

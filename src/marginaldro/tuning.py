@@ -3,8 +3,9 @@
 Each grid point is trained on the training sample and scored by the
 replicate estimate of worst-case risk on a held-out dataset (row-mean losses
 over repeated labels, then the CVaR tail mean).  Ties break toward the
-smaller lipschitz_ratio; failed grid points are recorded, not fatal, unless
-every point fails.
+smaller lipschitz_ratio; grid points that fail numerically (ValueError,
+ArithmeticError, DivergenceError) are recorded, not fatal, unless every point
+fails.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .duals import RobustSpec, replicate_worst_case
 from .evaluation import loss_matrix
 from .model import Dataset
-from .optim import OptimizerConfig, TrainResult, train
+from .optim import DivergenceError, OptimizerConfig, TrainResult, train
 
 
 @dataclass
@@ -59,7 +60,7 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
             if not np.isfinite(score):
                 raise ValueError(f"non-finite score {score}")
             return CVEntry(ratio, float(score)), result
-        except Exception as err:  # record, keep going
+        except (ValueError, ArithmeticError, DivergenceError) as err:  # numeric: record
             return CVEntry(ratio, np.nan, error=str(err)), None
 
     if jobs > 1:

@@ -13,9 +13,8 @@ from marginaldro.objectives import (
     primal_inner_sup,
     resolve_eps,
     robust_surrogate,
-    subgradient,
 )
-from marginaldro.optim import minimize_eta_plan, minimize_plan
+from marginaldro.optim import ObjectiveFunction, minimize_eta_plan, minimize_plan
 
 TWO_POINT = dict(
     losses=np.array([0.0, 2.0]),
@@ -79,9 +78,9 @@ def test_negative_plan_rejected():
 
 def test_subgradient_rejects_zero_one_loss():
     ds = Dataset([[0.0], [1.0]], [1.0, -1.0])
-    state = DualState(ParamVector([0.0]), eta=0.0, plan=np.zeros((2, 2)))
+    fn = ObjectiveFunction(ds, "zero_one", spec2(), "marginal")
     with pytest.raises(ValueError):
-        subgradient(state, ds, "zero_one", spec2())
+        fn.value_grad(np.zeros(2), 0.0, np.zeros((2, 2)))
 
 
 def test_confounded_objective():
@@ -122,8 +121,9 @@ def test_subgradient_hinge_inactive():
     ds = Dataset([[0.0], [1.0]], [0.5, 0.7])
     spec = RobustSpec(alpha0=0.5, p=2.0, lipschitz_ratio=2.0, eps=1e-6)
     plan = np.array([[0.0, 0.4], [0.1, 0.0]])
-    state = DualState(ParamVector([0.0]), eta=5.0, plan=plan)  # all hinges off
-    g_theta, g_eta, g_plan = subgradient(state, ds, "absolute_deviation", spec)
+    fn = ObjectiveFunction(ds, "absolute_deviation", spec, "marginal")
+    # theta = 0, intercept = 0, eta = 5: all hinges off
+    _, g_theta, g_eta, g_plan, _ = fn.value_grad(np.zeros(2), 5.0, plan)
     assert np.allclose(g_theta, 0.0)
     assert g_eta == pytest.approx(1.0)
     dist = pairwise_distance_power(ds.features, 2.0)
@@ -142,8 +142,10 @@ def test_subgradient_matches_finite_differences():
                           eta=float(rng.uniform(0, 0.5)),
                           plan=np.abs(rng.normal(size=(n, n))) * 0.3)
         for confounded in (False, True):
-            g_theta, g_eta, g_plan = subgradient(state, ds, "absolute_deviation", spec,
-                                                 confounded)
+            fn = ObjectiveFunction(ds, "absolute_deviation", spec,
+                                   "marginal_confounded" if confounded else "marginal")
+            w = np.append(state.params.theta, state.params.intercept)
+            _, g_theta, g_eta, g_plan, _ = fn.value_grad(w, state.eta, state.plan)
 
             def val(st):
                 return robust_surrogate(st, ds, "absolute_deviation", spec, confounded)

@@ -6,6 +6,7 @@ from marginaldro.datagen import SimSpec, generate
 from marginaldro.duals import RobustSpec, pnorm_dual
 from marginaldro.model import Dataset
 from marginaldro.optim import (
+    PLAN_OBJECTIVES,
     DivergenceError,
     ObjectiveFunction,
     OptimizerConfig,
@@ -55,7 +56,7 @@ def test_optimal_eta_exact():
 def test_trace_is_nonincreasing_and_deterministic():
     ds = generate(SimSpec(n=200, d=2, variant="simdist", seed=7))
     spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=3.0)
-    opt = OptimizerConfig(objective="marginal", max_iters=120, step0=0.4, seed=11)
+    opt = OptimizerConfig(objective="marginal", max_iters=120, step0=0.4)
     r1 = train(ds, "absolute_deviation", spec, opt)
     r2 = train(ds, "absolute_deviation", spec, opt)
     assert np.array_equal(r1.trace, r2.trace)
@@ -130,10 +131,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(step0=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(schedule="geometric")
-    with pytest.raises(ValueError):
-        OptimizerConfig(plan_dtype="float16")
 
 
 def test_dense_plan_warning(monkeypatch):
@@ -182,3 +179,28 @@ def test_objective_function_value_matches_train_trace():
 
     state = DualState(ParamVector(w[:-1], w[-1]), 0.3, plan)
     assert robust_surrogate(state, ds, "absolute_deviation", fn.spec) == pytest.approx(v1)
+
+
+def test_plan_step_matches_materialized_step():
+    """The fused plan update is max(plan - step n^2 g_plan, 0) on the gradient."""
+    rng = np.random.default_rng(12)
+    n, step = 30, 0.3
+    ds = generate(SimSpec(n=n, d=2, variant="confounded", seed=1))
+    w = np.array([0.3, -0.2, 0.1])
+    for objective in PLAN_OBJECTIVES:
+        # eps = 1e3 puts the floor far above the objective; bounded_holder has none
+        for eps in (0.05, 1e3) if objective != "bounded_holder" else (0.05,):
+            spec = RobustSpec(alpha0=0.4, p=2.0, lipschitz_ratio=1.5, eps=eps, delta=0.3)
+            fn = ObjectiveFunction(ds, "absolute_deviation", spec, objective)
+            plan = np.abs(rng.normal(size=(n, n))) * 0.2
+            g_plan = fn.value_grad(w, 0.2, plan)[3].copy()
+            assert g_plan.dtype == np.float64
+            fused = plan.copy()
+            fn.plan_step(fused, step)
+            if eps == 1e3:
+                assert not g_plan.any()
+                assert np.array_equal(fused, plan)
+            else:
+                assert not np.array_equal(fused, plan)
+                expected = np.maximum(plan - step * n * n * g_plan, 0.0)
+                np.testing.assert_allclose(fused, expected, rtol=1e-12, atol=1e-12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import marginaldro.optim as optim
 from marginaldro.datagen import SimSpec, generate, generate_replicates
 from marginaldro.duals import RobustSpec
 from marginaldro.model import Dataset
@@ -78,3 +79,16 @@ def test_empty_grid_rejected():
     ds, holdout = setup_data(seed=6)
     with pytest.raises(ValueError):
         cross_validate(ds, "absolute_deviation", SPEC, OPT, [], holdout)
+
+
+def test_bug_inside_train_propagates(monkeypatch):
+    # only numeric failures are recorded as failed grid points
+    def broken(*args, **kwargs):
+        raise TypeError("not a numeric failure")
+
+    monkeypatch.setattr(optim, "loss_residual_slopes", broken)
+    ds, holdout = setup_data(seed=7)
+    for jobs in (1, 2):
+        with pytest.raises(TypeError, match="not a numeric failure"):
+            cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout,
+                           jobs=jobs)
