@@ -19,6 +19,10 @@ functions here are the references it is checked against.
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,16 @@ FLOOR_FRACTION = 1e-3
 
 # dense n x n plans are stored in float32 from this sample size on
 FLOAT32_PLAN_N = 1024
+
+# rows per block of a pass over a dense plan; fixed, so block sums reduce in
+# the same order for any worker count
+BLOCK_ROWS = 64
+
+# plan blocks run on one thread per CPU this process may use: the calling
+# thread and WORKERS - 1 pool threads
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(max(WORKERS - 1, 1))
 
 
 @dataclass
@@ -50,24 +64,35 @@ class DualState:
 
 
 def pairwise_distance_power(features: np.ndarray, p: float) -> np.ndarray:
-    """Matrix of Euclidean distances ||x_i - x_j|| raised to the power p - 1."""
+    """Matrix of Euclidean distances ||x_i - x_j|| raised to the power p - 1.
+
+    Built in place from |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so at most two n x n
+    float64 arrays are alive at once.
+    """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
+    dist = np.add.outer(sq, sq)
+    xx = x @ x.T
+    xx *= 2.0
+    dist -= xx
+    del xx
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, 0.0)
-    if p == 2.0:
-        return dist
-    return dist ** (p - 1.0)
+    if p != 2.0:
+        np.power(dist, p - 1.0, out=dist)
+    return dist
+
+
+def plan_dtype(n: int) -> np.dtype:
+    """Storage dtype of a dense n x n plan and its folded penalty."""
+    return np.dtype(np.float32 if n >= FLOAT32_PLAN_N else np.float64)
 
 
 def plan_adjustments(plan: np.ndarray) -> np.ndarray:
     """Per-example loss adjustments c_i = (1/n) sum_j (B_ij - B_ji)."""
     plan = np.asarray(plan)
-    n = plan.shape[0]
-    # float64 accumulators regardless of the plan's storage dtype
-    return (plan.sum(axis=1, dtype=np.float64) - plan.sum(axis=0, dtype=np.float64)) / n
+    return _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1])[0]
 
 
 def penalty_coefficient(spec: RobustSpec) -> float:
@@ -157,41 +182,72 @@ class DensePlanStep:
     ``vec`` (None when the gradient vanishes).  The n x n arrays are float32
     from FLOAT32_PLAN_N examples on, halving their memory traffic; values
     and weights stay float64.
+
+    ``plan_step`` makes one pass over fixed row blocks of the plan, on the
+    module's worker threads, and accumulates c and the penalty of the new
+    plan in float64 as it goes; ``statistics`` returns them for that plan
+    without reading it again.  The blocks do not depend on the worker
+    count, so neither do the results.
     """
 
     def __init__(self, pen_dist: np.ndarray):
-        n = pen_dist.shape[0]
-        self.dtype = np.dtype(np.float32 if n >= FLOAT32_PLAN_N else np.float64)
+        self.dtype = plan_dtype(pen_dist.shape[0])
         self.pen_dist = pen_dist.astype(self.dtype, copy=False)
-        self._buf = np.empty_like(self.pen_dist)
+        self._stats = (None, None, None)  # (plan, c, penalty)
+
+    def statistics(self, plan: np.ndarray):
+        """(c, <pen_dist, B>) of ``plan``, both accumulated in float64.
+
+        They are cached for the array the last ``plan_step`` returned, which
+        must not be modified in between; any other plan gets a fresh pass.
+        """
+        cached, c, penalty = self._stats
+        if plan is not cached:
+            plan = np.asarray(plan)
+            c, penalty = _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1],
+                                    self.pen_dist)
+            self._stats = (plan, c, penalty)
+        return c, penalty
 
     def plan_grad(self, vec) -> np.ndarray:
-        """The plan gradient as an n x n array, in a buffer reused per call."""
+        """The plan gradient as a new n x n array."""
         if vec is None:
-            self._buf.fill(0.0)
-            return self._buf
+            return np.zeros_like(self.pen_dist)
         m = (-vec).astype(self.dtype)
-        g_plan = np.subtract.outer(m, m, out=self._buf)
+        g_plan = np.subtract.outer(m, m)
         g_plan += self.pen_dist
         return g_plan
 
-    def plan_step(self, plan: np.ndarray, vec, step: float):
-        """In-place projected update ``plan = max(plan - step n^2 g_plan, 0)``.
+    def plan_step(self, plan: np.ndarray, vec, step: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Projected update ``max(plan - step n^2 g_plan, 0)``, written to ``out``.
 
-        The n^2 preconditions the plan block: its gradient scales like 1/n^2
-        while optimal entries are O(1).  The update is fused into broadcast
-        passes on the plan instead of materializing the gradient.
+        ``out`` defaults to ``plan`` itself; the array holding the new plan is
+        returned, which is ``plan`` untouched when ``vec`` is None.  The n^2
+        preconditions the plan block: its gradient scales like 1/n^2 while
+        optimal entries are O(1).  Each row block gets
+        max(((B + u_i) - u_j) - s pen_dist, 0) with u = s vec, s = step n^2,
+        and then its statistics, while it is still in cache.
         """
         if vec is None:
-            return
+            return plan
+        out = plan if out is None else out
         n = plan.shape[0]
         scale = step * n * n
         u = (scale * vec).astype(self.dtype)
-        plan += u[:, None]
-        plan -= u[None, :]
-        np.multiply(self.pen_dist, self.dtype.type(scale), out=self._buf)
-        plan -= self._buf
-        np.maximum(plan, 0.0, out=plan)
+        s = self.dtype.type(scale)
+
+        def block(r0, r1, scratch):
+            pen = _rows_view(scratch, r1 - r0, n, self.dtype)
+            np.multiply(self.pen_dist[r0:r1], s, out=pen)
+            blk = np.add(plan[r0:r1], u[r0:r1, None], out=out[r0:r1])
+            blk -= u
+            blk -= pen
+            return np.maximum(blk, 0.0, out=blk)
+
+        c, penalty = _plan_pass(n, block, self.pen_dist)
+        self._stats = (out, c, penalty)
+        return out
 
 
 class TransportKernel(DensePlanStep):
@@ -202,8 +258,9 @@ class TransportKernel(DensePlanStep):
     then (1/alpha0) max(core, floor) + eta with
     core = S(h) + alpha0 <pen_dist, B>, where S is the hinge block of
     h = (l - c - eta)_+; it equals ``robust_surrogate`` up to rounding.
-    ``dist`` (float64) is overwritten: folding in place makes no n x n
-    temporary.
+    c and <pen_dist, B> come from ``statistics``, so a plan the last step
+    wrote is not read again.  ``dist`` (float64) is overwritten: folding in
+    place makes no n x n temporary.
     """
 
     def __init__(self, dist: np.ndarray, spec: RobustSpec, confounded: bool = False):
@@ -226,10 +283,10 @@ class TransportKernel(DensePlanStep):
         """
         p, a0 = self.p, self.alpha0
         n = losses.size
-        c = plan_adjustments(plan)
+        c, penalty = self.statistics(plan)
         h = np.maximum(losses - c - eta, 0.0)
         a = (p - 1.0) * float(np.mean(h**p))
-        core = a ** (1.0 / p) + a0 * float(np.vdot(self.pen_dist, plan))
+        core = a ** (1.0 / p) + a0 * penalty
         value = max(core, self.floor) / a0 + eta
         if core >= self.floor:
             wt = ((p - 1.0) / n * h ** (p - 1.0) * a ** ((1.0 - p) / p)
@@ -321,3 +378,74 @@ def _check_inputs(losses, plan, dist):
 def _hinge_block(adjusted, p: float) -> float:
     h = np.maximum(adjusted, 0.0)
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
+
+
+def _plan_pass(n: int, block_fn, pen: np.ndarray | None = None):
+    """(c, <pen, B>) of an n x n plan B from one pass over its fixed row blocks.
+
+    ``block_fn(r0, r1, scratch)`` returns rows r0:r1 of the plan, after
+    writing them if it updates the plan; ``scratch`` is a float64
+    (BLOCK_ROWS + 1, n) array it may use.  The calling thread and up to
+    WORKERS - 1 pool threads claim blocks in order.  Row sums and
+    penalty partials are taken per block in float64.  Column sums run down
+    the rows in block order: whichever worker finishes the next block due
+    adds it, and any finished blocks queued behind it, so no worker waits.
+    c thus has the bits of (B.sum(axis=1) - B.sum(axis=0)) / n with float64
+    accumulators, penalty partials add in block order, and nothing depends
+    on the worker count.  Scratch is allocated here, not in the pool
+    threads, so no pool thread's heap grows by a block.
+    """
+    starts = range(0, n, BLOCK_ROWS)
+    rows = np.empty(n)
+    penalties = [0.0] * len(starts)
+    cols = np.zeros(n)
+    finished = {}  # block index -> rows not yet in cols
+    added = 0  # blocks already in cols
+    adding = False  # a worker is adding blocks to cols
+    lock = threading.Lock()
+
+    def run(i, scratch):
+        nonlocal added, adding
+        r0 = starts[i]
+        r1 = min(r0 + BLOCK_ROWS, n)
+        blk = block_fn(r0, r1, scratch)
+        rows[r0:r1] = blk.sum(axis=1, dtype=np.float64)
+        if pen is not None:
+            penalties[i] = float(np.einsum("ij,ij->", blk, pen[r0:r1], dtype=np.float64))
+        with lock:
+            finished[i] = blk
+            if adding:
+                return
+            adding = True
+        while True:
+            with lock:
+                blk = finished.pop(added, None)
+                if blk is None:
+                    adding = False
+                    return
+            acc = scratch[:len(blk) + 1]
+            acc[0] = cols
+            acc[1:] = blk
+            acc.sum(axis=0, out=cols)
+            added += 1
+
+    def work(claims, scratch):
+        while (i := next(claims)) < len(starts):
+            run(i, scratch)
+
+    claims = itertools.count()
+    scratches = [np.empty((min(BLOCK_ROWS, n) + 1, n))
+                 for _ in range(min(WORKERS, len(starts)))]
+    futures = [_POOL.submit(work, claims, scratch) for scratch in scratches[1:]]
+    work(claims, scratches[0])
+    # a pool task that never started has nothing left to claim: drop it, so
+    # a busy pool, or one whose threads did not survive a fork, is not awaited
+    for future in futures:
+        if not future.cancel():
+            future.result()
+    return (rows - cols) / n, sum(penalties)
+
+
+def _rows_view(scratch: np.ndarray, m: int, n: int, dtype: np.dtype) -> np.ndarray:
+    """A contiguous (m, n) array of ``dtype`` over the start of float64 ``scratch``."""
+    return scratch.reshape(-1).view(dtype)[:m * n].reshape(m, n)

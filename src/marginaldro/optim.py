@@ -22,7 +22,7 @@ from .objectives import (
     DensePlanStep,
     TransportKernel,
     pairwise_distance_power,
-    plan_adjustments,
+    plan_dtype,
     resolve_eps,
 )
 from .variational import KernelSpec, gram, holder_constant, median_bandwidth
@@ -33,6 +33,12 @@ OBJECTIVES = ("erm", "joint_cvar", "joint_pnorm", "marginal",
 PLAN_OBJECTIVES = ("marginal", "marginal_confounded", "bounded_holder")
 
 DENSE_PLAN_WARN_N = 20000
+
+# n x n arrays a plan objective's train holds at the plan dtype (the plan, the
+# spare plan buffer and the folded penalty), and float64 ones alive at once
+# while the distances are built
+PLAN_ARRAYS = 3
+DISTANCE_BUILD_ARRAYS = 2
 
 # the joint objectives reset eta to its exact minimizer every this many steps
 ETA_REFRESH = 10
@@ -132,7 +138,7 @@ class ObjectiveFunction:
 
         With ``with_plan_grad=False`` the n x n gradient is not materialized;
         the solver instead applies it through ``plan_step``, which fuses the
-        update into broadcast operations on the plan itself.
+        update into one pass over the plan.
         """
         w = np.asarray(w, dtype=float)
         params = ParamVector(w[:-1], w[-1])
@@ -155,9 +161,10 @@ class ObjectiveFunction:
             g_w[:-1] += 2.0 * self.ridge * w[:-1]
         return value, g_w, g_eta, g_plan, g_beta
 
-    def plan_step(self, plan: np.ndarray, step: float):
-        """In-place projected plan update, n^2 times the last plan gradient."""
-        self.transport.plan_step(plan, self._plan_vec, step)
+    def plan_step(self, plan: np.ndarray, step: float, out: np.ndarray | None = None):
+        """Projected plan update, n^2 times the last plan gradient, into ``out``
+        (default: in place); returns the array holding the new plan."""
+        return self.transport.plan_step(plan, self._plan_vec, step, out)
 
     # loss-space kernels: (losses, eta, plan, beta) -> (value, v, s, extra)
 
@@ -184,10 +191,10 @@ class ObjectiveFunction:
 
     def _bounded_holder(self, losses, eta, plan, beta):
         n, a0 = self.dataset.n, self.spec.alpha0
-        margin = losses - plan_adjustments(plan) - eta
+        c, penalty = self.transport.statistics(plan)
+        margin = losses - c - eta
         active = (margin > 0).astype(float)
-        value = (float(np.maximum(margin, 0.0).sum()) / (a0 * n)
-                 + float(np.vdot(self.transport.pen_dist, plan)) + eta)
+        value = float(np.maximum(margin, 0.0).sum()) / (a0 * n) + penalty + eta
         return value, active, a0 * n, active / (a0 * n * n)
 
     def _rkhs(self, losses, eta, plan, beta):
@@ -213,12 +220,15 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     """Minimize the configured objective; returns the best iterate.
 
     The trace holds the running-best objective value per iteration, hence is
-    nonincreasing.  Identical inputs give bitwise-identical traces.
+    nonincreasing.  Identical inputs give bitwise-identical traces.  A plan
+    objective keeps two plan buffers and steps outside the one holding the
+    best iterate, so the best plan is never copied.
     """
     if opt.objective in PLAN_OBJECTIVES and dataset.n > DENSE_PLAN_WARN_N:
+        nbytes = dense_plan_bytes(dataset.n)
         warnings.warn(
-            f"dense transport plan stores 8*n^2 = {8 * dataset.n**2 / 1e9:.1f} GB "
-            f"for n = {dataset.n}",
+            f"dense transport plan: train allocates {nbytes:,} bytes "
+            f"({nbytes / 1e9:.1f} GB) of n x n arrays for n = {dataset.n}",
             RuntimeWarning,
         )
     fn = ObjectiveFunction(dataset, kind, spec, opt.objective, kernel, opt.ridge)
@@ -231,13 +241,13 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         eta = cvar_dual(fn.losses(w), spec.alpha0)[1]
     if fn.uses_plan:
         plan = np.zeros((n, n), dtype=fn.transport.dtype)
+        spare = np.empty_like(plan)
     if fn.uses_beta:
         beta = np.zeros(n)
 
     joint = opt.objective in ("joint_cvar", "joint_pnorm")
     best_value = np.inf
-    best = None
-    best_plan = np.empty_like(plan) if plan is not None else None
+    best = best_plan = None
     trace = []
     window = 25
     for t in range(opt.max_iters):
@@ -249,9 +259,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         if not np.isfinite(value):
             raise DivergenceError(t)
         if value < best_value:
-            best_value = value
-            if plan is not None:
-                np.copyto(best_plan, plan)
+            best_value, best_plan = value, plan
             best = (w.copy(), eta, beta.copy() if beta is not None else None)
         trace.append(best_value)
         if opt.tol > 0 and t > window:
@@ -265,13 +273,18 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         if fn.uses_eta:
             eta = float(np.clip(eta - step * g_eta, 0.0, _eta_bound(spec, fn.last_losses)))
         if fn.uses_plan:
-            fn.plan_step(plan, step)
+            plan, spare = _step_outside_best(fn.plan_step, plan, spare, best_plan, step)
         if fn.uses_beta:
             beta = beta - step * n * g_beta
 
     best_w, best_eta, best_beta = best
     return TrainResult(ParamVector(best_w[:-1], best_w[-1]), best_value,
                        np.asarray(trace), eta=best_eta, plan=best_plan, beta=best_beta)
+
+
+def dense_plan_bytes(n: int) -> int:
+    """Bytes of the n x n arrays ``train`` allocates for a plan objective."""
+    return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + DISTANCE_BUILD_ARRAYS * 8)
 
 
 def optimal_eta_exact(losses, alpha0: float, p: float) -> float:
@@ -324,15 +337,26 @@ def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int
     too unless ``eta_bound`` is None; returns the best (value, eta, plan)."""
     n = losses.size
     plan = np.zeros((n, n), dtype=kernel.dtype)
-    best_value, best_eta, best_plan = np.inf, eta, plan.copy()
+    spare = np.empty_like(plan)
+    best_value, best_eta, best_plan = np.inf, eta, plan
     for t in range(iters):
         value, wt, vec = kernel.evaluate(losses, eta, plan)
         if value < best_value:
-            best_value, best_eta = value, eta
-            np.copyto(best_plan, plan)
+            best_value, best_eta, best_plan = value, eta, plan
         step = step0 / np.sqrt(t + 1.0)
-        kernel.plan_step(plan, vec, step)
+        plan, spare = _step_outside_best(
+            lambda b, s, o: kernel.plan_step(b, vec, s, o), plan, spare, best_plan, step)
         if eta_bound is not None:
             g_eta = 1.0 - wt.sum() / kernel.alpha0
             eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
     return best_value, best_eta, best_plan
+
+
+def _step_outside_best(plan_step, plan, spare, best_plan, step):
+    """Take one plan step without overwriting the best iterate's buffer.
+
+    Steps in place unless ``plan`` is the best plan, then into ``spare``;
+    returns the (plan, spare) buffers after the step.
+    """
+    new = plan_step(plan, step, spare if plan is best_plan else plan)
+    return (plan, spare) if new is plan else (new, plan)

@@ -1,10 +1,16 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import marginaldro.objectives as objectives
 from marginaldro.duals import RobustSpec
 from marginaldro.model import Dataset, ParamVector
 from marginaldro.objectives import (
+    DensePlanStep,
     DualState,
+    TransportKernel,
     confounded_objective,
     floor_value,
     marginal_objective,
@@ -42,6 +48,86 @@ def test_pairwise_distance_power():
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
     d15 = pairwise_distance_power(x, 1.5)
     assert np.allclose(d15, d**0.5)
+
+
+def test_pairwise_distance_power_matches_broadcast_formula():
+    """The in-place build gives the bits of the plain broadcast expression."""
+    rng = np.random.default_rng(3)
+    for n, d, p in [(1, 1, 2.0), (7, 1, 1.5), (60, 2, 2.0), (60, 2, 3.0),
+                    (300, 5, 1.5), (1100, 2, 2.0)]:
+        x = rng.normal(size=(n, d))
+        sq = np.sum(x * x, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+        dist = np.sqrt(np.maximum(d2, 0.0))
+        np.fill_diagonal(dist, 0.0)
+        expected = dist if p == 2.0 else dist ** (p - 1.0)
+        assert np.array_equal(pairwise_distance_power(x, p), expected)
+
+
+def _kernel_and_plan(n, seed=0):
+    rng = np.random.default_rng(seed)
+    dist = pairwise_distance_power(rng.normal(size=(n, 2)), 2.0)
+    kernel = TransportKernel(dist, RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0,
+                                              eps=0.1, delta=0.05), confounded=True)
+    plan = np.maximum(rng.normal(size=(n, n)), 0.0).astype(kernel.dtype)
+    vec = rng.normal(size=n) / (n * n)
+    return kernel, plan, vec
+
+
+@pytest.mark.parametrize("n", [50, 300, 1100])
+def test_fused_plan_statistics_match_fresh_pass(n):
+    """plan_step's statistics are those of a fresh pass over the plan it wrote."""
+    kernel, plan, vec = _kernel_and_plan(n)
+    new = kernel.plan_step(plan, vec, 0.3, out=np.empty_like(plan))
+    c, penalty = kernel.statistics(new)
+    fresh_c, fresh_penalty = DensePlanStep(kernel.pen_dist).statistics(new)
+    assert c.dtype == np.float64
+    assert np.array_equal(c, fresh_c) and penalty == fresh_penalty
+    assert np.array_equal(c, plan_adjustments(new))
+    # column sums run down the rows in order, as numpy's own reductions do
+    expected = (new.sum(axis=1, dtype=np.float64) - new.sum(axis=0, dtype=np.float64)) / n
+    assert np.array_equal(c, expected)
+    # a step with a vanishing gradient leaves the plan and its statistics alone
+    assert kernel.plan_step(new, None, 0.3, out=plan) is new
+    assert kernel.statistics(new)[0] is c
+
+
+def test_plan_pass_does_not_wait_for_a_busy_pool(monkeypatch):
+    """The calling thread takes every block when no pool thread is free."""
+    gate = threading.Event()
+    done = []
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(gate.wait)  # holds the only pool thread, as a fork would
+        monkeypatch.setattr(objectives, "WORKERS", 2)
+        monkeypatch.setattr(objectives, "_POOL", pool)
+        kernel, plan, vec = _kernel_and_plan(300)
+        caller = threading.Thread(target=lambda: done.append(kernel.plan_step(plan, vec, 0.3)))
+        caller.start()
+        caller.join(timeout=60)
+        gate.set()
+        assert done
+        assert np.array_equal(kernel.statistics(done[0])[0], plan_adjustments(done[0]))
+
+
+def test_fused_penalty_accumulates_in_float64():
+    kernel, plan, vec = _kernel_and_plan(1100, seed=1)
+    assert kernel.dtype == np.float32
+    new = kernel.plan_step(plan, vec, 0.3)
+    expected = np.sum(kernel.pen_dist.astype(np.float64) * new.astype(np.float64))
+    assert kernel.statistics(new)[1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_fused_plan_step_entries_match_materialized_formula():
+    """Row blocks apply the broadcast update's float32 operations in its order."""
+    n, step = 1100, 0.3
+    kernel, plan, vec = _kernel_and_plan(n, seed=2)
+    scale = step * n * n
+    u = (scale * vec).astype(np.float32)
+    expected = np.maximum(((plan + u[:, None]) - u[None, :])
+                          - kernel.pen_dist * np.float32(scale), 0.0)
+    new = kernel.plan_step(plan, vec, step, out=np.empty_like(plan))
+    assert new.dtype == expected.dtype == np.float32
+    assert np.array_equal(new, expected)
 
 
 def test_plan_adjustments_sum_to_zero():

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 from marginaldro.datagen import SimSpec, generate
 from marginaldro.duals import RobustSpec, pnorm_dual
@@ -136,9 +139,15 @@ def test_optimizer_config_validation():
 def test_dense_plan_warning(monkeypatch):
     monkeypatch.setattr(optim, "DENSE_PLAN_WARN_N", 10)
     ds = generate(SimSpec(n=12, d=1, variant="toy_1d", seed=0))
-    with pytest.warns(RuntimeWarning, match="transport plan"):
+    with pytest.warns(RuntimeWarning, match="transport plan") as record:
         train(ds, "absolute_deviation", RobustSpec(alpha0=0.5, p=2.0),
               OptimizerConfig(objective="marginal", max_iters=2))
+    # float64 at n = 12: the plan, its spare buffer and the folded penalty,
+    # plus the two float64 arrays of the distance build
+    assert optim.dense_plan_bytes(12) == 12 * 12 * (3 * 8 + 2 * 8)
+    assert f"allocates {12 * 12 * 40:,} bytes" in str(record[0].message)
+    # float32 plans from FLOAT32_PLAN_N on
+    assert optim.dense_plan_bytes(20001) == 20001**2 * (3 * 4 + 2 * 8)
 
 
 def test_rkhs_and_bounded_holder_train():
@@ -204,3 +213,39 @@ def test_plan_step_matches_materialized_step():
                 assert not np.array_equal(fused, plan)
                 expected = np.maximum(plan - step * n * n * g_plan, 0.0)
                 np.testing.assert_allclose(fused, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_train_bitwise_independent_of_worker_count(monkeypatch):
+    """Plan blocks reduce in block order, so one or two workers give the same bits."""
+    cases = [(generate(SimSpec(n=300, d=2, variant="confounded", seed=3)), 40,
+              PLAN_OBJECTIVES),
+             (generate(SimSpec(n=1100, d=1, variant="toy_1d", seed=3)), 8, ("marginal",))]
+    spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, delta=0.05)
+    for ds, iters, names in cases:
+        for objective in names:
+            runs = []
+            for workers in (1, 2):
+                with ThreadPoolExecutor(1) as pool:
+                    monkeypatch.setattr(objectives, "WORKERS", workers)
+                    monkeypatch.setattr(objectives, "_POOL", pool)
+                    runs.append(train(ds, "absolute_deviation", spec,
+                                      OptimizerConfig(objective=objective, max_iters=iters)))
+            one, two = runs
+            assert np.array_equal(one.trace, two.trace)
+            assert np.array_equal(one.params.theta, two.params.theta)
+            assert one.params.intercept == two.params.intercept and one.eta == two.eta
+            assert one.plan.dtype == two.plan.dtype and np.array_equal(one.plan, two.plan)
+
+
+def test_returned_plan_is_the_best_iterate():
+    """The objective at the returned (w, eta, plan) is the reported best value."""
+    ds = generate(SimSpec(n=200, d=2, variant="confounded", seed=5))
+    spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, delta=0.05)
+    for objective in PLAN_OBJECTIVES:
+        result = train(ds, "absolute_deviation", spec,
+                       OptimizerConfig(objective=objective, max_iters=60, step0=2.0))
+        # the last step did not improve, so a swapped buffer would show
+        assert result.trace[-1] == result.trace[-2]
+        fn = ObjectiveFunction(ds, "absolute_deviation", spec, objective)
+        w = np.append(result.params.theta, result.params.intercept)
+        assert fn.value_grad(w, result.eta, result.plan)[0] == result.objective
