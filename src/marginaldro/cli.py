@@ -42,6 +42,9 @@ FIGURE_IDS = ("fig_toy", "fig_dimdep", "fig_alpha_sweep", "fig_lip_sensitivity",
 
 EVAL_ALPHAS_DEFAULT = "0.05,0.1,0.15,0.3,0.5,1.0"
 
+# dataset CSV rows formatted per write; bounds the writer's memory
+CSV_CHUNK_ROWS = 4096
+
 
 class UsageError(Exception):
     pass
@@ -211,7 +214,12 @@ def _seed_of(args) -> int:
 # ---------------------------------------------------------------- CSV I/O
 
 def write_dataset_csv(dataset: Dataset, path):
-    """Header x0..x{d-1},y[,z][,c][,y_rep0..]; numeric cells, LF endings."""
+    """Header x0..x{d-1},y[,z][,c][,y_rep0..]; numeric cells, LF endings.
+
+    Cells are ``repr`` of the float64 values.  Rows are formatted and written
+    ``CSV_CHUNK_ROWS`` at a time, so memory beyond the dataset itself stays
+    bounded by the chunk, not by n.
+    """
     cols = [f"x{i}" for i in range(dataset.d)] + ["y"]
     mats = [dataset.features, dataset.labels[:, None]]
     if dataset.group is not None:
@@ -224,15 +232,23 @@ def write_dataset_csv(dataset: Dataset, path):
         m = dataset.replicates.shape[1]
         cols.extend(f"y_rep{j}" for j in range(m))
         mats.append(dataset.replicates)
-    body = np.hstack(mats)
-    lines = [",".join(cols)]
-    lines.extend(",".join(repr(v) for v in row) for row in body.tolist())
-    text = "\n".join(lines) + "\n"
     if path == "-":
-        sys.stdout.write(text)
+        _write_csv_chunks(sys.stdout, cols, mats, dataset.n)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            _write_csv_chunks(fh, cols, mats, dataset.n)
+
+
+def _write_csv_chunks(fh, cols, mats, n):
+    fh.write(",".join(cols) + "\n")
+    row_fmt = ",".join(["%r"] * len(cols)) + "\n"
+    block = np.empty((min(n, CSV_CHUNK_ROWS), len(cols)))
+    chunk_fmt = row_fmt * len(block)
+    for lo in range(0, n, len(block)):
+        part = block[:n - lo]
+        np.concatenate([mat[lo:lo + len(part)] for mat in mats], axis=1, out=part)
+        fmt = chunk_fmt if len(part) == len(block) else row_fmt * len(part)
+        fh.write(fmt % tuple(part.ravel().tolist()))
 
 
 def read_dataset_csv(path, loss_kind: str = "absolute_deviation") -> Dataset:

@@ -1,9 +1,10 @@
 """One-dimensional dual evaluations of worst-case subpopulation risk.
 
-``cvar_dual`` solves inf_eta { (1/(a0 n)) sum (v_i - eta)_+ + eta } exactly by
-sorting; ``pnorm_dual`` solves the p-norm variant by golden-section search;
-``replicate_worst_case`` averages repeated measurements per row before taking
-the CVaR, the gold-standard estimate of worst-case subpopulation risk.
+``cvar_dual`` solves inf_eta { (1/(a0 n)) sum (v_i - eta)_+ + eta }
+exactly by selection; ``pnorm_dual`` solves the p-norm variant by
+golden-section search; ``replicate_worst_case`` averages repeated
+measurements per row before taking the CVaR, the gold-standard estimate of
+worst-case subpopulation risk.
 """
 
 from __future__ import annotations
@@ -90,9 +91,16 @@ def cvar_dual(values, alpha0: float) -> tuple[float, float]:
     # tolerate floating-point fuzz when alpha0*n is an exact integer
     idx = int(np.ceil(k - 1e-9))
     idx = min(max(idx, 1), n)
-    desc = np.sort(values)[::-1]
-    eta = desc[idx - 1]
-    risk = float(np.sum(np.maximum(desc - eta, 0.0)) / k + eta)
+    # select the idx largest values; only they can have a positive hinge
+    part = np.partition(values, n - idx)
+    eta = part[n - idx]
+    top = part[n - idx:]
+    top.sort()
+    # the hinge vector, descending, zero-padded to n: numpy's pairwise sum
+    # of the top values alone would round differently
+    hinge = np.zeros(n)
+    np.subtract(top[::-1], eta, out=hinge[:idx])
+    risk = float(np.sum(hinge) / k + eta)
     return risk, float(eta)
 
 

@@ -111,16 +111,8 @@ class ParamVector:
 
 def loss_value(kind: str, params: ParamVector, x: np.ndarray, y: float) -> float:
     """Pointwise loss of a linear model at one example; always >= 0."""
-    _check_kind(kind)
-    pred = float(params.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
-    if kind == ABSOLUTE:
-        return abs(pred - y)
-    if kind == LOGISTIC:
-        _check_binary_label(y)
-        return float(np.logaddexp(0.0, -y * pred))
-    yhat = 1.0 if pred >= 0 else -1.0
-    _check_binary_label(y)
-    return float(yhat != y)
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    return float(loss_values(kind, params, x, [y])[0])
 
 
 def loss_subgradient(kind: str, params: ParamVector, x: np.ndarray, y: float) -> np.ndarray:
@@ -129,32 +121,21 @@ def loss_subgradient(kind: str, params: ParamVector, x: np.ndarray, y: float) ->
     Returns a vector of length d + 1 (intercept coordinate last).  At the
     absolute-loss kink the zero element of the subdifferential is returned.
     """
-    _check_kind(kind, trainable=True)
     x = np.asarray(x, dtype=float).ravel()
-    pred = float(params.predict(x.reshape(1, -1))[0])
-    xb = np.append(x, 1.0)
-    if kind == ABSOLUTE:
-        s = np.sign(pred - y)
-        return s * xb
-    _check_binary_label(y)
-    # d/df log(1 + exp(-y f)) = -y * sigmoid(-y f)
-    return -y * expit(-y * pred) * xb
+    slope = loss_residual_slopes(kind, params, x.reshape(1, -1), [y])[0]
+    return slope * np.append(x, 1.0)
 
 
 def loss_values(kind: str, params: ParamVector, features: np.ndarray,
                 labels: np.ndarray) -> np.ndarray:
     """Vector of per-example losses for a whole sample."""
     _check_kind(kind)
-    pred = params.predict(features)
-    labels = np.asarray(labels, dtype=float).ravel()
-    if kind == ABSOLUTE:
-        return np.abs(pred - labels)
-    if kind == LOGISTIC:
+    pred, labels = _prediction(params, features, labels)
+    if kind == ZERO_ONE:
         _check_binary_labels(labels)
-        return np.logaddexp(0.0, -labels * pred)
-    _check_binary_labels(labels)
-    yhat = np.where(pred >= 0, 1.0, -1.0)
-    return (yhat != labels).astype(float)
+        yhat = np.where(pred >= 0, 1.0, -1.0)
+        return (yhat != labels).astype(float)
+    return _losses(kind, _residual(kind, pred, labels))
 
 
 def loss_residual_slopes(kind: str, params: ParamVector, features: np.ndarray,
@@ -165,17 +146,38 @@ def loss_residual_slopes(kind: str, params: ParamVector, features: np.ndarray,
     ``slope[i] * (x_i, 1)``; kinks of the absolute loss get slope 0.
     """
     _check_kind(kind, trainable=True)
-    pred = params.predict(features)
-    labels = np.asarray(labels, dtype=float).ravel()
+    pred, labels = _prediction(params, features, labels)
+    return _slopes(kind, _residual(kind, pred, labels), labels)
+
+
+def loss_values_and_slopes(kind: str, params: ParamVector, features: np.ndarray,
+                           labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(loss_values(...), loss_residual_slopes(...))`` from one prediction."""
+    _check_kind(kind, trainable=True)
+    pred, labels = _prediction(params, features, labels)
+    r = _residual(kind, pred, labels)
+    return _losses(kind, r), _slopes(kind, r, labels)
+
+
+def _prediction(params, features, labels):
+    return params.predict(features), np.asarray(labels, dtype=float).ravel()
+
+
+def _residual(kind, pred, labels):
+    """pred - y for the absolute loss, the margin -y * pred for the logistic."""
     if kind == ABSOLUTE:
-        return np.sign(pred - labels)
+        return pred - labels
     _check_binary_labels(labels)
-    return -labels * expit(-labels * pred)
+    return -labels * pred
 
 
-def _check_binary_label(y):
-    if y not in (-1.0, 1.0, -1, 1):
-        raise ValueError(f"classification labels must be -1 or +1, got {y!r}")
+def _losses(kind, r):
+    return np.abs(r) if kind == ABSOLUTE else np.logaddexp(0.0, r)
+
+
+def _slopes(kind, r, labels):
+    # d/df log(1 + exp(-y f)) = -y * sigmoid(-y f)
+    return np.sign(r) if kind == ABSOLUTE else -labels * expit(r)
 
 
 def _check_binary_labels(labels):

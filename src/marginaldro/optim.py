@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .duals import RobustSpec, cvar_dual, pnorm_dual
-from .model import Dataset, ParamVector, loss_values, loss_residual_slopes
+from .model import Dataset, ParamVector, loss_values, loss_values_and_slopes
 from .objectives import (
     DensePlanStep,
     TransportKernel,
@@ -143,8 +143,7 @@ class ObjectiveFunction:
         w = np.asarray(w, dtype=float)
         params = ParamVector(w[:-1], w[-1])
         ds = self.dataset
-        losses = loss_values(self.kind, params, ds.features, ds.labels)
-        slopes = loss_residual_slopes(self.kind, params, ds.features, ds.labels)
+        losses, slopes = loss_values_and_slopes(self.kind, params, ds.features, ds.labels)
         self.last_losses = losses
         value, v, s, extra = self._KERNELS[self.objective](self, losses, eta, plan, beta)
         g_w = self.xa.T @ (v * slopes) / s

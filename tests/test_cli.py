@@ -1,11 +1,19 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from marginaldro.cli import main, read_dataset_csv, read_model
+from marginaldro.cli import (
+    CSV_CHUNK_ROWS,
+    main,
+    read_dataset_csv,
+    read_model,
+    write_dataset_csv,
+)
+from marginaldro.model import Dataset
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -52,6 +60,74 @@ def test_gen_round_trip(workdir):
     assert np.array_equal(ds.replicates, ref.replicates)
     assert np.array_equal(ds.confounder, ref.confounder)
     assert np.array_equal(ds.group, ref.group)
+
+
+def whole_file_csv_text(dataset):
+    """Reference: the dataset CSV built in one piece, one ``repr`` per cell."""
+    cols = [f"x{i}" for i in range(dataset.d)] + ["y"]
+    mats = [dataset.features, dataset.labels[:, None]]
+    if dataset.group is not None:
+        cols.append("z")
+        mats.append(dataset.group[:, None])
+    if dataset.confounder is not None:
+        cols.append("c")
+        mats.append(dataset.confounder[:, None])
+    if dataset.replicates is not None:
+        cols.extend(f"y_rep{j}" for j in range(dataset.replicates.shape[1]))
+        mats.append(dataset.replicates)
+    lines = [",".join(cols)]
+    lines.extend(",".join(repr(v) for v in row) for row in np.hstack(mats).tolist())
+    return "\n".join(lines) + "\n"
+
+
+def random_dataset(n, d=2, group=True, confounder=True, replicates=3, seed=0):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    features[::7] = np.round(features[::7])  # integral cells print as 3.0, -0.0
+    return Dataset(features, rng.normal(size=n),
+                   replicates=rng.normal(size=(n, replicates)) if replicates else None,
+                   group=rng.integers(0, 2, size=n) if group else None,
+                   confounder=rng.choice([-1.0, 0.5, 1.0], size=n) if confounder else None)
+
+
+COLUMN_SETS = {"xy": dict(group=False, confounder=False, replicates=0),
+               "xy_zc_rep": dict(group=True, confounder=True, replicates=3),
+               "xy_rep": dict(group=False, confounder=False, replicates=2)}
+
+
+@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("columns", sorted(COLUMN_SETS))
+def test_write_dataset_csv_matches_whole_file_text(tmp_path, n, columns):
+    ds = random_dataset(n, **COLUMN_SETS[columns])
+    path = tmp_path / "data.csv"
+    write_dataset_csv(ds, str(path))
+    assert path.read_bytes() == whole_file_csv_text(ds).encode()
+    back = read_dataset_csv(str(path))
+    for name in ("features", "labels", "replicates", "group", "confounder"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got.tobytes() == want.tobytes(), name
+
+
+def test_write_dataset_csv_to_stdout(capsys):
+    ds = random_dataset(CSV_CHUNK_ROWS + 1, seed=1)
+    write_dataset_csv(ds, "-")
+    assert capsys.readouterr().out == whole_file_csv_text(ds)
+
+
+def test_write_dataset_csv_memory_bounded_by_chunk(tmp_path):
+    """The writer's allocation peak is set by the row chunk, not by n."""
+    peaks = []
+    for n in (10_000, 50_000):
+        ds = random_dataset(n)
+        tracemalloc.start()
+        try:
+            write_dataset_csv(ds, str(tmp_path / f"data{n}.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_gen_usage_errors():

@@ -43,6 +43,36 @@ def test_cvar_monotone_in_alpha0_and_max_tail():
     assert cvar_dual(v, 0.01)[0] == pytest.approx(v.max())
 
 
+def sorted_cvar(values, alpha0):
+    """Reference: the CVaR dual through a full descending sort."""
+    values = np.asarray(values, dtype=float).ravel()
+    n = values.shape[0]
+    k = alpha0 * n
+    idx = min(max(int(np.ceil(k - 1e-9)), 1), n)
+    desc = np.sort(values)[::-1]
+    eta = desc[idx - 1]
+    return float(np.sum(np.maximum(desc - eta, 0.0)) / k + eta), float(eta)
+
+
+def test_cvar_dual_matches_sort_reference_bitwise():
+    rng = np.random.default_rng(7)
+    checked = 0
+    for n in (1, 2, 3, 10, 100, 1000, 4099):
+        samples = (rng.exponential(size=n),
+                   rng.integers(0, 4, size=n).astype(float),  # heavy ties
+                   np.full(n, 0.7),
+                   rng.normal(size=n) * 1e3)
+        alphas = {1.0, 0.3, 0.1, 0.05, float(rng.uniform(0.0, 1.0)),
+                  0.5 / n, 1.0 / n, max(1, n // 3) / n}  # k < 1, k = 1, integral k
+        for values in samples:
+            for alpha0 in sorted(a for a in alphas if 0.0 < a <= 1.0):
+                got = np.array(cvar_dual(values, alpha0))
+                want = np.array(sorted_cvar(values, alpha0))
+                assert got.tobytes() == want.tobytes(), (n, alpha0)
+                checked += 1
+    assert checked > 150
+
+
 def test_cvar_input_validation():
     with pytest.raises(ValueError):
         cvar_dual([], 0.5)

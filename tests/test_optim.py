@@ -7,8 +7,9 @@ import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 from marginaldro.datagen import SimSpec, generate
 from marginaldro.duals import RobustSpec, pnorm_dual
-from marginaldro.model import Dataset
+from marginaldro.model import Dataset, loss_residual_slopes, loss_values
 from marginaldro.optim import (
+    OBJECTIVES,
     PLAN_OBJECTIVES,
     DivergenceError,
     ObjectiveFunction,
@@ -249,3 +250,30 @@ def test_returned_plan_is_the_best_iterate():
         fn = ObjectiveFunction(ds, "absolute_deviation", spec, objective)
         w = np.append(result.params.theta, result.params.intercept)
         assert fn.value_grad(w, result.eta, result.plan)[0] == result.objective
+
+
+def _two_call_losses_and_slopes(kind, params, features, labels):
+    return (loss_values(kind, params, features, labels),
+            loss_residual_slopes(kind, params, features, labels))
+
+
+def test_value_grad_one_prediction_matches_two_calls(monkeypatch):
+    """Losses and slopes from one prediction give value_grad's old bits."""
+    n = 120
+    ds = generate(SimSpec(n=n, d=2, variant="confounded", seed=4))
+    signs = Dataset(ds.features, np.where(ds.labels > np.median(ds.labels), 1.0, -1.0))
+    cases = ([(ds, "absolute_deviation", o) for o in OBJECTIVES]
+             + [(signs, "logistic", o) for o in ("erm", "marginal")])
+    spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, delta=0.05)
+    rng = np.random.default_rng(9)
+    for data, kind, objective in cases:
+        w = rng.normal(size=3) * 0.5
+        args = (w, 0.2, np.abs(rng.normal(size=(n, n))) * 0.2, rng.normal(size=n) * 0.1)
+        fused = ObjectiveFunction(data, kind, spec, objective).value_grad(*args)
+        with monkeypatch.context() as m:
+            m.setattr(optim, "loss_values_and_slopes", _two_call_losses_and_slopes)
+            split = ObjectiveFunction(data, kind, spec, objective).value_grad(*args)
+        for got, want in zip(fused, split):
+            assert (got is None) == (want is None), objective
+            if want is not None:
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), objective

@@ -86,7 +86,7 @@ def test_bug_inside_train_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a numeric failure")
 
-    monkeypatch.setattr(optim, "loss_residual_slopes", broken)
+    monkeypatch.setattr(optim, "loss_values_and_slopes", broken)
     ds, holdout = setup_data(seed=7)
     for jobs in (1, 2):
         with pytest.raises(TypeError, match="not a numeric failure"):
