@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,9 +35,6 @@ NUMERIC_EXIT = 1
 CONFIG_KEYS = ("objective", "loss", "alpha0", "p", "lipschitz_ratio", "eps", "delta",
                "n", "d", "seed", "iters", "step0", "ridge", "in_csv", "out_csv",
                "alphas")
-
-FIGURE_IDS = ("fig_toy", "fig_dimdep", "fig_alpha_sweep", "fig_lip_sensitivity",
-              "fig_confounded")
 
 EVAL_ALPHAS_DEFAULT = "0.05,0.1,0.15,0.3,0.5,1.0"
 
@@ -76,102 +72,78 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="marginaldro",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
-    def common(p):
+    def command(name, summary, func):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value config file; flags override it")
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (fallback: DRO_SEED, then 0)")
+        p.set_defaults(func=func)
+        return p
 
-    g = sub.add_parser("gen", help="generate a synthetic dataset CSV")
-    common(g)
-    g.add_argument("--variant", choices=("toy_1d", "simdist", "confounded"),
-                   default="simdist")
-    g.add_argument("--n", type=int, default=1000)
-    g.add_argument("--d", type=int, default=1)
-    g.add_argument("--alpha-true", type=float, default=0.15)
+    def synthetic(p, variant, n):
+        p.add_argument("--variant", choices=("toy_1d", "simdist", "confounded"),
+                       default=variant)
+        p.add_argument("--n", type=int, default=n)
+        p.add_argument("--d", type=int, default=1)
+        p.add_argument("--alpha-true", type=float, default=0.15)
+
+    def training(p, ratio, ratio_help, iters):
+        p.add_argument("--loss", choices=("absolute_deviation", "logistic"),
+                       default="absolute_deviation")
+        p.add_argument("--alpha0", type=float, default=0.3)
+        p.add_argument("--p", type=float, default=2.0)
+        p.add_argument("--lipschitz-ratio", default=ratio, help=ratio_help)
+        p.add_argument("--eps", type=float, default=None)
+        p.add_argument("--delta", type=float, default=0.0)
+        p.add_argument("--iters", type=int, default=iters)
+        p.add_argument("--step0", type=float, default=0.5)
+        p.add_argument("--ridge", type=float, default=0.0)
+        p.add_argument("--no-intercept", action="store_true")
+
+    g = command("gen", "generate a synthetic dataset CSV", cmd_gen)
+    synthetic(g, "simdist", 1000)
     g.add_argument("--replicates", type=int, default=0, metavar="M",
                    help="also draw M replicate labels per row")
     g.add_argument("--out-csv", default="-", help="output path ('-' for stdout)")
-    g.set_defaults(func=cmd_gen)
 
-    t = sub.add_parser("train", help="train a model on a CSV dataset")
-    common(t)
+    t = command("train", "train a model on a CSV dataset", cmd_train)
     t.add_argument("--in-csv", required=False)
     t.add_argument("--objective", choices=OBJECTIVES, default="erm")
-    t.add_argument("--loss", choices=("absolute_deviation", "logistic"),
-                   default="absolute_deviation")
-    t.add_argument("--alpha0", type=float, default=0.3)
-    t.add_argument("--p", type=float, default=2.0)
-    t.add_argument("--lipschitz-ratio", default="1.0",
-                   help="L/eps (a single value here; a comma grid in cv)")
-    t.add_argument("--eps", type=float, default=None)
-    t.add_argument("--delta", type=float, default=0.0)
-    t.add_argument("--iters", type=int, default=400)
-    t.add_argument("--step0", type=float, default=0.5)
-    t.add_argument("--ridge", type=float, default=0.0)
-    t.add_argument("--no-intercept", action="store_true")
+    training(t, "1.0", "L/eps (a single value here; a comma grid in cv)", 400)
     t.add_argument("--out-model", default="model.txt")
     t.add_argument("--out-trace", default=None,
                    help="JSON-lines objective trace (default: <out-model>.trace.jsonl)")
-    t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate worst-case risk over alpha0 grid")
-    common(e)
+    e = command("eval", "evaluate worst-case risk over alpha0 grid", cmd_eval)
     e.add_argument("--model", required=True)
     e.add_argument("--mode", choices=("oracle", "replicates", "joint"), default="joint")
     e.add_argument("--loss", choices=("absolute_deviation", "logistic", "zero_one"),
                    default="absolute_deviation")
     e.add_argument("--alphas", default=EVAL_ALPHAS_DEFAULT)
     e.add_argument("--in-csv", default=None, help="dataset CSV (else synthetic variant)")
-    e.add_argument("--variant", choices=("toy_1d", "simdist", "confounded"), default=None)
-    e.add_argument("--n", type=int, default=ORACLE_EVAL_ROWS)
-    e.add_argument("--d", type=int, default=1)
-    e.add_argument("--alpha-true", type=float, default=0.15)
+    synthetic(e, None, ORACLE_EVAL_ROWS)
     e.add_argument("--replicates", type=int, default=10, metavar="M")
     e.add_argument("--condition", type=float, default=None,
                    help="restrict replicate evaluation to rows with this confounder value")
     e.add_argument("--out-csv", default="-")
-    e.set_defaults(func=cmd_eval)
 
-    c = sub.add_parser("cv", help="cross-validate lipschitz_ratio on a grid")
-    common(c)
+    c = command("cv", "cross-validate lipschitz_ratio on a grid", cmd_cv)
     c.add_argument("--in-csv", default=None)
-    c.add_argument("--variant", choices=("toy_1d", "simdist", "confounded"),
-                   default="simdist")
-    c.add_argument("--n", type=int, default=2000)
-    c.add_argument("--d", type=int, default=1)
-    c.add_argument("--alpha-true", type=float, default=0.15)
+    synthetic(c, "simdist", 2000)
     c.add_argument("--objective", choices=PLAN_OBJECTIVES, default="marginal")
-    c.add_argument("--loss", choices=("absolute_deviation", "logistic"),
-                   default="absolute_deviation")
-    c.add_argument("--alpha0", type=float, default=0.3)
-    c.add_argument("--p", type=float, default=2.0)
-    c.add_argument("--lipschitz-ratio", default="0.1,1,10,100",
-                   help="comma-separated grid of L/eps values")
-    c.add_argument("--eps", type=float, default=None)
-    c.add_argument("--delta", type=float, default=0.0)
-    c.add_argument("--iters", type=int, default=300)
-    c.add_argument("--step0", type=float, default=0.5)
-    c.add_argument("--ridge", type=float, default=0.0)
-    c.add_argument("--no-intercept", action="store_true")
+    training(c, "0.1,1,10,100", "comma-separated grid of L/eps values", 300)
     c.add_argument("--cv-alpha0", type=float, default=None,
                    help="alpha0 for the held-out replicate score (default: --alpha0)")
     c.add_argument("--holdout-frac", type=float, default=0.25,
                    help="held-out row fraction when scoring a CSV dataset")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--out-csv", default="-")
-    c.set_defaults(func=cmd_cv)
 
-    r = sub.add_parser("repro", help="run a scripted experiment, write CSV bundle")
-    common(r)
-    r.add_argument("figure", help=f"one of {', '.join(FIGURE_IDS)}")
+    r = command("repro", "run a scripted experiment, write CSV bundle", cmd_repro)
+    r.add_argument("figure", help=f"one of {', '.join(FIGURES)}")
     r.add_argument("--outdir", default=".")
-    r.set_defaults(func=cmd_repro)
-
-    for name, p in (("gen", g), ("train", t), ("eval", e), ("cv", c), ("repro", r)):
-        subparsers[name] = p
-    return parser, subparsers
+    return parser, sub.choices
 
 
 def _apply_config_defaults(subparser, path):
@@ -196,12 +168,7 @@ def _apply_config_defaults(subparser, path):
         act = actions.get(key)
         if act is None:
             continue  # valid key, unused by this subcommand
-        if act.type is not None:
-            defaults[key] = act.type(raw)
-        elif isinstance(act.default, bool):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
-        else:
-            defaults[key] = raw
+        defaults[key] = raw if act.type is None else act.type(raw)
     subparser.set_defaults(**defaults)
 
 
@@ -332,6 +299,8 @@ def _fmt(v):
 # ---------------------------------------------------------------- commands
 
 def cmd_gen(args) -> int:
+    if args.replicates < 0:
+        raise UsageError(f"--replicates must be >= 0, got {args.replicates}")
     spec = SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
                    variant=args.variant, seed=_seed_of(args))
     if args.replicates > 0:
@@ -374,6 +343,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.condition is not None and args.mode != "replicates":
+        raise UsageError("--condition applies only to --mode replicates")
     params = read_model(args.model)
     alphas = _parse_alphas(args.alphas)
     seed = _seed_of(args)
@@ -423,6 +394,8 @@ def _parse_alphas(text):
 
 
 def cmd_cv(args) -> int:
+    if not 0.0 < args.holdout_frac < 1.0:
+        raise UsageError(f"--holdout-frac must lie in (0, 1), got {args.holdout_frac:g}")
     grid = _parse_alphas(args.lipschitz_ratio)  # same comma-list syntax
     seed = _seed_of(args)
     spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=grid[0],
@@ -446,9 +419,7 @@ def cmd_cv(args) -> int:
     else:
         ds = generate(SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
                               variant=args.variant, seed=seed))
-        holdout = generate_replicates(
-            SimSpec(n=1000, d=args.d, alpha_true=args.alpha_true,
-                    variant=args.variant, seed=seed + 100_003), m=100)
+        holdout = _replicate_holdout(args.variant, args.d, seed, args.alpha_true)
     result = cross_validate(ds, args.loss, spec, opt, grid, holdout,
                             score_alpha0=args.cv_alpha0, jobs=args.jobs)
     rows = [(e.lipschitz_ratio, e.score, "ok" if e.error is None else "failed")
@@ -468,142 +439,125 @@ def _subset(ds: Dataset, idx) -> Dataset:
 # ---------------------------------------------------------------- repro
 
 def cmd_repro(args) -> int:
-    if args.figure not in FIGURE_IDS:
+    if args.figure not in FIGURES:
         raise UsageError(f"unknown figure id {args.figure!r}; valid ids: "
-                         + ", ".join(FIGURE_IDS))
+                         + ", ".join(FIGURES))
     os.makedirs(args.outdir, exist_ok=True)
-    seed = _seed_of(args)
-    runner = {
-        "fig_toy": _repro_toy,
-        "fig_dimdep": _repro_dimdep,
-        "fig_alpha_sweep": _repro_alpha_sweep,
-        "fig_lip_sensitivity": _repro_lip_sensitivity,
-        "fig_confounded": _repro_confounded,
-    }[args.figure]
-    for name, header, rows in runner(seed):
-        path = os.path.join(args.outdir, name)
-        _write_rows(path, header, rows)
-        print(f"wrote {path}")
+    header, rows = FIGURES[args.figure](_seed_of(args))
+    path = os.path.join(args.outdir, f"{args.figure}.csv")
+    _write_rows(path, header, rows)
+    print(f"wrote {path}")
     return 0
 
 
-_TOY_GRID = (0.1, 1.0, 10.0, 100.0)
+def _replicate_holdout(variant, d, seed, alpha_true=0.15) -> Dataset:
+    """The held-out replicate sample CV scores on: 1000 rows, 100 labels each."""
+    return generate_replicates(SimSpec(n=1000, d=d, alpha_true=alpha_true,
+                                       variant=variant, seed=seed + 100_003), m=100)
 
 
-def _fit_models(ds, train_alpha0, seed, grid=_TOY_GRID, iters=300, cv_alpha0=0.05,
-                variant="toy_1d", d=1, alpha_true=0.15):
-    """ERM / joint p=2 / CV'd marginal DRO triple on one dataset (no intercept)."""
-    holdout = generate_replicates(SimSpec(n=1000, d=d, alpha_true=alpha_true,
-                                          variant=variant, seed=seed + 100_003), m=100)
-    base = RobustSpec(alpha0=train_alpha0, p=2.0)
+def _baselines(ds, alpha0) -> dict:
+    """ERM and joint p = 2 DRO parameters (400 iterations, no intercept)."""
+    spec = RobustSpec(alpha0=alpha0, p=2.0)
+    return {objective: train(ds, "absolute_deviation", spec,
+                             OptimizerConfig(objective=objective, max_iters=400, step0=0.5,
+                                             fit_intercept=False)).params
+            for objective in ("erm", "joint_pnorm")}
+
+
+def _fit_models(ds, seed, variant, d=1, iters=300) -> dict:
+    """ERM / joint p = 2 / CV'd marginal DRO parameters on one dataset.
+
+    Marginal DRO trains at alpha0 = 0.3 over L/eps in {0.1, 1, 10, 100} and
+    is selected by its held-out replicate risk at alpha0 = 0.05.
+    """
     opt = OptimizerConfig(objective="marginal", max_iters=iters, step0=0.5,
                           fit_intercept=False)
-    cv = cross_validate(ds, "absolute_deviation", base, opt, grid, holdout,
-                        score_alpha0=cv_alpha0)
-    erm = train(ds, "absolute_deviation", base,
-                replace(opt, objective="erm", max_iters=400))
-    joint = train(ds, "absolute_deviation", base,
-                  replace(opt, objective="joint_pnorm", max_iters=400))
-    return {"erm": erm, "joint_pnorm": joint, "marginal": cv.best_result}, cv
+    cv = cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=2.0), opt,
+                        (0.1, 1.0, 10.0, 100.0), _replicate_holdout(variant, d, seed),
+                        score_alpha0=0.05)
+    return {**_baselines(ds, 0.3), "marginal": cv.best_result.params}
+
+
+def _oracle_reports(models: dict, seed, variant, alphas=(0.05,), d=1) -> dict:
+    """Oracle risk report of each named ParamVector on one fresh draw."""
+    feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=d, variant=variant,
+                             seed=seed + 77)).features
+    return {name: eval_oracle(params, feats, variant, alphas)
+            for name, params in models.items()}
 
 
 def _repro_toy(seed):
     ds = generate(SimSpec(n=2000, d=1, variant="toy_1d", seed=seed))
-    models, cv = _fit_models(ds, train_alpha0=0.3, seed=seed)
-    feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=1, variant="toy_1d",
-                             seed=seed + 77)).features
-    rows = []
-    for name, result in models.items():
-        report = eval_oracle(result.params, feats, "toy_1d", [0.05, 1.0])
-        rows.append((name, float(result.params.theta[0]), result.params.intercept,
-                     report.risks[0], report.mean_risk))
-    yield ("fig_toy.csv", ("method", "slope", "intercept", "risk_alpha005", "mean_risk"),
-           rows)
+    models = _fit_models(ds, seed, "toy_1d")
+    reports = _oracle_reports(models, seed, "toy_1d", (0.05, 1.0))
+    rows = [(name, float(models[name].theta[0]), models[name].intercept,
+             report.risks[0], report.mean_risk) for name, report in reports.items()]
+    return ("method", "slope", "intercept", "risk_alpha005", "mean_risk"), rows
 
 
 def _repro_alpha_sweep(seed):
     alphas = (0.05, 0.1, 0.15, 0.3, 0.5, 1.0)
     ds = generate(SimSpec(n=2000, d=1, variant="simdist", seed=seed))
-    models, _ = _fit_models(ds, train_alpha0=0.3, seed=seed, variant="simdist")
-    feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=1, variant="simdist",
-                             seed=seed + 77)).features
-    rows = []
-    for name, result in models.items():
-        report = eval_oracle(result.params, feats, "simdist", alphas)
-        rows.extend((name, a, r) for a, r, _ in report.rows())
+    reports = _oracle_reports(_fit_models(ds, seed, "simdist"), seed, "simdist", alphas)
+    rows = [(name, a, r) for name, report in reports.items() for a, r, _ in report.rows()]
     # single-slope oracle reference per test alpha0
-    slopes = np.linspace(-0.25, 1.25, 76)
-    risks = {a: np.inf for a in alphas}
-    for s in slopes:
-        report = eval_oracle(ParamVector([s]), feats, "simdist", alphas)
-        for a, r, _ in report.rows():
-            risks[a] = min(risks[a], r)
-    rows.extend(("oracle_best_slope", a, risks[a]) for a in alphas)
-    yield ("fig_alpha_sweep.csv", ("method", "alpha0", "risk"), rows)
+    slopes = {s: ParamVector([s]) for s in np.linspace(-0.25, 1.25, 76)}
+    best = np.min([r.risks for r in _oracle_reports(slopes, seed, "simdist", alphas).values()],
+                  axis=0)
+    rows.extend(("oracle_best_slope", a, float(r)) for a, r in zip(alphas, best))
+    return ("method", "alpha0", "risk"), rows
 
 
 def _repro_lip_sensitivity(seed):
     ds = generate(SimSpec(n=2000, d=1, variant="simdist", seed=seed))
-    feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=1, variant="simdist",
-                             seed=seed + 77)).features
-    base = RobustSpec(alpha0=0.3, p=2.0)
     opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
                           fit_intercept=False)
-    rows = []
-    for ratio in (0.1, 1.0, 10.0, 100.0, 1000.0):
-        result = train(ds, "absolute_deviation", replace(base, lipschitz_ratio=ratio), opt)
-        report = eval_oracle(result.params, feats, "simdist", [0.05])
-        rows.append(("marginal", ratio, report.risks[0]))
-    for objective in ("erm", "joint_pnorm"):
-        result = train(ds, "absolute_deviation", base,
-                       replace(opt, objective=objective, max_iters=400))
-        report = eval_oracle(result.params, feats, "simdist", [0.05])
-        rows.append((objective, "", report.risks[0]))
-    yield ("fig_lip_sensitivity.csv", ("method", "lipschitz_ratio", "risk_alpha005"), rows)
+    models = {("marginal", ratio): train(ds, "absolute_deviation",
+                                         RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=ratio),
+                                         opt).params
+              for ratio in (0.1, 1.0, 10.0, 100.0, 1000.0)}
+    models.update(((name, ""), params) for name, params in _baselines(ds, 0.3).items())
+    rows = [(*key, report.risks[0])
+            for key, report in _oracle_reports(models, seed, "simdist").items()]
+    return ("method", "lipschitz_ratio", "risk_alpha005"), rows
 
 
 def _repro_dimdep(seed):
     rows = []
     for d in (1, 10):
-        feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=d, variant="simdist",
-                                 seed=seed + 77)).features
         for n in (200, 500, 2000):
             ds = generate(SimSpec(n=n, d=d, variant="simdist", seed=seed))
-            models, _ = _fit_models(ds, train_alpha0=0.3, seed=seed, variant="simdist",
-                                    d=d, iters=250)
-            for name, result in models.items():
-                report = eval_oracle(result.params, feats, "simdist", [0.05])
-                rows.append((d, n, name, report.risks[0]))
-    yield ("fig_dimdep.csv", ("d", "n", "method", "risk_alpha005"), rows)
+            models = _fit_models(ds, seed, "simdist", d=d, iters=250)
+            rows.extend((d, n, name, report.risks[0]) for name, report
+                        in _oracle_reports(models, seed, "simdist", d=d).items())
+    return ("d", "n", "method", "risk_alpha005"), rows
 
 
 def _repro_confounded(seed):
-    d = 2
-    ds = generate(SimSpec(n=2000, d=d, variant="confounded", seed=seed))
-    holdout = generate_replicates(SimSpec(n=2000, d=d, variant="confounded",
+    ds = generate(SimSpec(n=2000, d=2, variant="confounded", seed=seed))
+    holdout = generate_replicates(SimSpec(n=2000, d=2, variant="confounded",
                                           seed=seed + 13), m=10)
-    opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
-                          fit_intercept=False)
     models = {}
     # delta is priced as delta^(p-1)/eps, so eps is pinned to keep the
     # postulated confounding levels on an interpretable scale
     for delta in (0.0, 0.02, 0.05, 0.2):
-        spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05,
-                          delta=delta)
-        objective = "marginal" if delta == 0.0 else "marginal_confounded"
-        models[f"marginal_delta{delta:g}"] = train(ds, "absolute_deviation", spec,
-                                                   replace(opt, objective=objective))
-    models["erm"] = train(ds, "absolute_deviation", RobustSpec(alpha0=0.1),
-                          replace(opt, objective="erm", max_iters=400))
-    models["joint_pnorm"] = train(ds, "absolute_deviation", RobustSpec(alpha0=0.1, p=2.0),
-                                  replace(opt, objective="joint_pnorm", max_iters=400))
-    rows = []
-    for name, result in models.items():
-        for c in CONFOUNDER_SUPPORT:
-            report = eval_replicates(result.params, holdout, "absolute_deviation",
-                                     [0.05], condition=float(c))
-            rows.append((name, float(c), report.risks[0]))
-    yield ("fig_confounded.csv", ("method", "c", "risk_alpha005"), rows)
+        spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=delta)
+        opt = OptimizerConfig(objective="marginal" if delta == 0.0 else "marginal_confounded",
+                              max_iters=300, step0=0.5, fit_intercept=False)
+        models[f"marginal_delta{delta:g}"] = train(ds, "absolute_deviation", spec, opt).params
+    models.update(_baselines(ds, 0.1))
+    rows = [(name, float(c), eval_replicates(params, holdout, "absolute_deviation", [0.05],
+                                             condition=float(c)).risks[0])
+            for name, params in models.items() for c in CONFOUNDER_SUPPORT]
+    return ("method", "c", "risk_alpha005"), rows
+
+
+# figure id -> runner returning the (header, rows) of <figure id>.csv
+FIGURES = {"fig_toy": _repro_toy, "fig_dimdep": _repro_dimdep,
+           "fig_alpha_sweep": _repro_alpha_sweep,
+           "fig_lip_sensitivity": _repro_lip_sensitivity,
+           "fig_confounded": _repro_confounded}
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import conditional_risks
 from .duals import cvar_dual
-from .model import Dataset, ParamVector, loss_values, _check_kind, _check_binary_labels
+from .model import Dataset, ParamVector, loss_values, pointwise_losses, _check_kind
 
 ORACLE_EVAL_ROWS = 20000
 
@@ -121,12 +121,5 @@ def eval_group_split(params: ParamVector, dataset: Dataset, kind: str, columns,
 def loss_matrix(kind: str, params: ParamVector, features, replicates) -> np.ndarray:
     """Per-(row, replicate) losses, vectorized over the replicate matrix."""
     _check_kind(kind)
-    pred = params.predict(features)[:, None]
-    replicates = np.asarray(replicates, dtype=float)
-    if kind == "absolute_deviation":
-        return np.abs(pred - replicates)
-    _check_binary_labels(replicates.ravel())
-    if kind == "logistic":
-        return np.logaddexp(0.0, -replicates * pred)
-    yhat = np.where(pred >= 0, 1.0, -1.0)
-    return (yhat != replicates).astype(float)
+    return pointwise_losses(kind, params.predict(features)[:, None],
+                            np.asarray(replicates, dtype=float))

@@ -130,12 +130,7 @@ def loss_values(kind: str, params: ParamVector, features: np.ndarray,
                 labels: np.ndarray) -> np.ndarray:
     """Vector of per-example losses for a whole sample."""
     _check_kind(kind)
-    pred, labels = _prediction(params, features, labels)
-    if kind == ZERO_ONE:
-        _check_binary_labels(labels)
-        yhat = np.where(pred >= 0, 1.0, -1.0)
-        return (yhat != labels).astype(float)
-    return _losses(kind, _residual(kind, pred, labels))
+    return pointwise_losses(kind, *_prediction(params, features, labels))
 
 
 def loss_residual_slopes(kind: str, params: ParamVector, features: np.ndarray,
@@ -157,6 +152,15 @@ def loss_values_and_slopes(kind: str, params: ParamVector, features: np.ndarray,
     pred, labels = _prediction(params, features, labels)
     r = _residual(kind, pred, labels)
     return _losses(kind, r), _slopes(kind, r, labels)
+
+
+def pointwise_losses(kind: str, pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Losses of predictions against labels of a broadcast-compatible shape."""
+    if kind == ZERO_ONE:
+        _check_binary_labels(labels)
+        yhat = np.where(pred >= 0, 1.0, -1.0)
+        return (yhat != labels).astype(float)
+    return _losses(kind, _residual(kind, pred, labels))
 
 
 def _prediction(params, features, labels):

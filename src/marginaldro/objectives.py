@@ -47,6 +47,10 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 _POOL = ThreadPoolExecutor(max(WORKERS - 1, 1))
 
+# primal_inner_sup's grid points per coordinate, by n, and refinement rounds
+PRIMAL_GRID_POINTS = {1: 33, 2: 21, 3: 17, 4: 13, 5: 9, 6: 7}
+PRIMAL_LEVELS = 12
+
 
 @dataclass
 class DualState:
@@ -63,22 +67,28 @@ class DualState:
             raise ValueError(f"plan must be square, got shape {self.plan.shape}")
 
 
-def pairwise_distance_power(features: np.ndarray, p: float) -> np.ndarray:
-    """Matrix of Euclidean distances ||x_i - x_j|| raised to the power p - 1.
+def squared_distances(features: np.ndarray) -> np.ndarray:
+    """Matrix of squared Euclidean distances ||x_i - x_j||^2, zero on the diagonal.
 
     Built in place from |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so at most two n x n
     float64 arrays are alive at once.
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     sq = np.sum(x * x, axis=1)
-    dist = np.add.outer(sq, sq)
+    d2 = np.add.outer(sq, sq)
     xx = x @ x.T
     xx *= 2.0
-    dist -= xx
+    d2 -= xx
     del xx
-    np.maximum(dist, 0.0, out=dist)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def pairwise_distance_power(features: np.ndarray, p: float) -> np.ndarray:
+    """Matrix of Euclidean distances ||x_i - x_j|| raised to the power p - 1."""
+    dist = squared_distances(features)
     np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, 0.0)
     if p != 2.0:
         np.power(dist, p - 1.0, out=dist)
     return dist
@@ -210,7 +220,8 @@ class DensePlanStep:
         return c, penalty
 
     def plan_grad(self, vec) -> np.ndarray:
-        """The plan gradient as a new n x n array."""
+        """The plan gradient as a new n x n array; no solver builds it, it is
+        the reference ``plan_step`` is checked against."""
         if vec is None:
             return np.zeros_like(self.pen_dist)
         m = (-vec).astype(self.dtype)
@@ -295,26 +306,24 @@ class TransportKernel(DensePlanStep):
         return value, np.zeros(n), None
 
 
-def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec,
-                     grid_points: int | None = None, levels: int = 12,
-                     max_n: int = 6) -> float:
+def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:
     """Brute-force value of the inner supremum the transport dual solves.
 
     Maximizes (1/n) sum_i h_i (l_i - eta) over h >= 0 with
     mean(h^q) <= 1 and h_i - h_j <= (L^(p-1)/eps) ||x_i - x_j||^(p-1), by
-    multilevel grid refinement; every grid direction is rescaled onto the
-    tightest binding constraint before scoring.  Exponential in n, so only
-    small instances are accepted; used as a strong-duality oracle against
-    the infimum of ``marginal_objective`` over plans.
+    PRIMAL_LEVELS rounds of grid refinement; every grid direction is
+    rescaled onto the tightest binding constraint before scoring.
+    Exponential in n, so only n <= 6 is accepted; used as a strong-duality
+    oracle against the infimum of ``marginal_objective`` over plans.
     """
     losses = np.asarray(losses, dtype=float).ravel()
     n = losses.size
+    max_n = max(PRIMAL_GRID_POINTS)
     if n > max_n:
         raise ValueError(f"primal_inner_sup is combinatorial; n={n} exceeds {max_n}")
     if spec.p <= 1.0:
         raise ValueError("primal_inner_sup needs p > 1")
-    if grid_points is None:
-        grid_points = {1: 33, 2: 21, 3: 17, 4: 13, 5: 9, 6: 7}[n]
+    grid_points = PRIMAL_GRID_POINTS[n]
     q = spec.q
     bound = penalty_coefficient(spec) * np.asarray(dist, dtype=float)
     coef = (losses - eta) / n
@@ -324,7 +333,7 @@ def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec,
     hi = np.full(n, hmax)
     best_val = 0.0
     best_h = np.zeros(n)
-    for _ in range(levels):
+    for _ in range(PRIMAL_LEVELS):
         axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
         raw = mesh @ coef

@@ -92,8 +92,10 @@ class ObjectiveFunction:
     kernel in ``_KERNELS`` that returns (value, v, s, extra): per-example
     weights v and a divisor s give g_w = xa^T (v * slopes) / s and
     g_eta = 1 - sum(v) / s, and ``extra`` is the plan vector of
-    ``DensePlanStep`` or the beta gradient.  Distances and Gram matrices
-    are precomputed once, so repeated evaluation is cheap.
+    ``DensePlanStep`` or the beta gradient.  The plan gradient stays in
+    that per-example form: ``plan_step`` applies it without building the
+    n x n array.  Distances and Gram matrices are precomputed once, so
+    repeated evaluation is cheap.
     """
 
     def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str,
@@ -120,7 +122,6 @@ class ObjectiveFunction:
             else:
                 self.transport = TransportKernel(dist, spec,
                                                  objective == "marginal_confounded")
-            self._plan_vec: np.ndarray | None = None
         if self.uses_beta:
             if kernel is None:
                 kernel = KernelSpec(bandwidth=median_bandwidth(dataset.features))
@@ -133,12 +134,13 @@ class ObjectiveFunction:
         params = ParamVector(w[:-1], w[-1])
         return loss_values(self.kind, params, self.dataset.features, self.dataset.labels)
 
-    def value_grad(self, w, eta=None, plan=None, beta=None, with_plan_grad=True):
-        """Returns (value, g_w, g_eta, g_plan, g_beta); None for unused blocks.
+    def value_grad(self, w, eta=None, plan=None, beta=None):
+        """Returns (value, g_w, g_eta, plan_vec, g_beta); None for unused blocks.
 
-        With ``with_plan_grad=False`` the n x n gradient is not materialized;
-        the solver instead applies it through ``plan_step``, which fuses the
-        update into one pass over the plan.
+        ``plan_vec`` is the per-example vector ``vec`` of the plan gradient
+        pen_dist_ij + vec_j - vec_i (None when the plan gradient vanishes),
+        the argument ``plan_step`` takes; ``transport.plan_grad(plan_vec)``
+        builds the n x n gradient.
         """
         w = np.asarray(w, dtype=float)
         params = ParamVector(w[:-1], w[-1])
@@ -148,22 +150,19 @@ class ObjectiveFunction:
         value, v, s, extra = self._KERNELS[self.objective](self, losses, eta, plan, beta)
         g_w = self.xa.T @ (v * slopes) / s
         g_eta = 1.0 - v.sum() / s if self.uses_eta else None
-        g_plan = g_beta = None
-        if self.uses_plan:
-            self._plan_vec = extra
-            if with_plan_grad:
-                g_plan = self.transport.plan_grad(extra)
-        elif self.uses_beta:
-            g_beta = extra
+        plan_vec = extra if self.uses_plan else None
+        g_beta = extra if self.uses_beta else None
         if self.ridge:
             value += self.ridge * float(w[:-1] @ w[:-1])
             g_w[:-1] += 2.0 * self.ridge * w[:-1]
-        return value, g_w, g_eta, g_plan, g_beta
+        return value, g_w, g_eta, plan_vec, g_beta
 
-    def plan_step(self, plan: np.ndarray, step: float, out: np.ndarray | None = None):
-        """Projected plan update, n^2 times the last plan gradient, into ``out``
-        (default: in place); returns the array holding the new plan."""
-        return self.transport.plan_step(plan, self._plan_vec, step, out)
+    def plan_step(self, plan: np.ndarray, plan_vec, step: float,
+                  out: np.ndarray | None = None):
+        """Projected plan update ``max(plan - step n^2 g_plan, 0)`` for the
+        gradient of ``plan_vec``, into ``out`` (default: in place); returns
+        the array holding the new plan."""
+        return self.transport.plan_step(plan, plan_vec, step, out)
 
     # loss-space kernels: (losses, eta, plan, beta) -> (value, v, s, extra)
 
@@ -253,8 +252,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         if joint and t % ETA_REFRESH == 0:
             p_eff = spec.p if opt.objective == "joint_pnorm" else 1.0
             eta = optimal_eta_exact(fn.losses(w), spec.alpha0, p_eff)
-        value, g_w, g_eta, _, g_beta = fn.value_grad(w, eta, plan, beta,
-                                                     with_plan_grad=False)
+        value, g_w, g_eta, plan_vec, g_beta = fn.value_grad(w, eta, plan, beta)
         if not np.isfinite(value):
             raise DivergenceError(t)
         if value < best_value:
@@ -272,7 +270,8 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         if fn.uses_eta:
             eta = float(np.clip(eta - step * g_eta, 0.0, _eta_bound(spec, fn.last_losses)))
         if fn.uses_plan:
-            plan, spare = _step_outside_best(fn.plan_step, plan, spare, best_plan, step)
+            plan, spare = _step_outside_best(fn.plan_step, plan, spare, best_plan,
+                                             plan_vec, step)
         if fn.uses_beta:
             beta = beta - step * n * g_beta
 
@@ -343,19 +342,19 @@ def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int
         if value < best_value:
             best_value, best_eta, best_plan = value, eta, plan
         step = step0 / np.sqrt(t + 1.0)
-        plan, spare = _step_outside_best(
-            lambda b, s, o: kernel.plan_step(b, vec, s, o), plan, spare, best_plan, step)
+        plan, spare = _step_outside_best(kernel.plan_step, plan, spare, best_plan,
+                                         vec, step)
         if eta_bound is not None:
             g_eta = 1.0 - wt.sum() / kernel.alpha0
             eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
     return best_value, best_eta, best_plan
 
 
-def _step_outside_best(plan_step, plan, spare, best_plan, step):
+def _step_outside_best(plan_step, plan, spare, best_plan, vec, step):
     """Take one plan step without overwriting the best iterate's buffer.
 
     Steps in place unless ``plan`` is the best plan, then into ``spare``;
     returns the (plan, spare) buffers after the step.
     """
-    new = plan_step(plan, step, spare if plan is best_plan else plan)
+    new = plan_step(plan, vec, step, spare if plan is best_plan else plan)
     return (plan, spare) if new is plan else (new, plan)

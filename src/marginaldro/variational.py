@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import RobustSpec
-from .objectives import plan_adjustments, _check_inputs, _require_eps
+from .objectives import plan_adjustments, squared_distances, _check_inputs, _require_eps
 
 PSD_TOL = 1e-8
 
@@ -38,11 +38,9 @@ class KernelSpec:
 
 def median_bandwidth(features: np.ndarray) -> float:
     """Median pairwise distance, the usual default kernel scale."""
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    off = d2[np.triu_indices(x.shape[0], k=1)]
-    med = float(np.sqrt(np.median(off))) if off.size else 1.0
+    d2 = squared_distances(features)
+    off = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    med = float(np.sqrt(np.median(off, overwrite_input=True))) if off.size else 1.0
     return med if med > 0 else 1.0
 
 
@@ -52,11 +50,10 @@ def gram(features: np.ndarray, kernel: KernelSpec, check: bool = True) -> np.nda
     With ``check`` the matrix is validated positive semidefinite by an
     attempted Cholesky factorization (with a small diagonal jitter).
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
-    sq = np.sum(x * x, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
-    k = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    np.fill_diagonal(k, 1.0)
+    k = squared_distances(features)
+    np.negative(k, out=k)
+    k /= 2.0 * kernel.bandwidth**2
+    np.exp(k, out=k)
     if check:
         check_gram(k)
     return k

@@ -226,7 +226,7 @@ def test_criterion_5_gradients_match_finite_differences():
             eta = float(rng.uniform(0.05, 0.6)) if fn.uses_eta else None
             plan = np.abs(rng.normal(size=(n, n))) * 0.4 if fn.uses_plan else None
             beta = rng.normal(size=n) * 0.3 if fn.uses_beta else None
-            value, g_w, g_eta, g_plan, g_beta = fn.value_grad(w, eta, plan, beta)
+            value, g_w, g_eta, plan_vec, g_beta = fn.value_grad(w, eta, plan, beta)
 
             pieces = [w]
             grads = [g_w]
@@ -235,6 +235,7 @@ def test_criterion_5_gradients_match_finite_differences():
                 grads.append(np.array([g_eta]))
             if fn.uses_plan:
                 pieces.append(plan.ravel())
+                g_plan = fn.transport.plan_grad(plan_vec)
                 grads.append(np.asarray(g_plan, dtype=float).ravel())
             if fn.uses_beta:
                 pieces.append(beta)

@@ -227,6 +227,36 @@ def test_eval_replicates_conditioned(workdir):
     assert r.returncode == 2
 
 
+def test_eval_condition_needs_replicates_mode(workdir, capsys):
+    csv = workdir / "lin.csv"
+    write_line_csv(csv)
+    model = workdir / "m.txt"
+    model.write_text("0.0\n0.0\n")
+    for mode, source in (("joint", ["--in-csv", str(csv)]),
+                         ("oracle", ["--variant", "simdist"])):
+        code = main(["eval", "--model", str(model), "--mode", mode, *source,
+                     "--condition", "1.0"])
+        assert code == 2, mode
+        assert "--condition" in capsys.readouterr().err
+
+
+def test_gen_rejects_negative_replicates(workdir, capsys):
+    out = workdir / "data.csv"
+    assert main(["gen", "--n", "5", "--replicates", "-3", "--out-csv", str(out)]) == 2
+    assert "--replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cv_holdout_frac_must_be_a_proper_fraction(workdir, capsys):
+    csv = workdir / "lin.csv"
+    write_line_csv(csv)
+    for frac in ("0", "1", "-0.2", "1.5"):
+        code = main(["cv", "--in-csv", str(csv), "--holdout-frac", frac,
+                     "--out-csv", os.devnull])
+        assert code == 2, frac
+        assert "--holdout-frac" in capsys.readouterr().err
+
+
 def test_cv_singleton_and_table(workdir):
     out = workdir / "cv.csv"
     r = run_cli("cv", "--variant", "simdist", "--n", "300", "--d", "1",

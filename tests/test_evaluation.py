@@ -10,7 +10,7 @@ from marginaldro.evaluation import (
     eval_replicates,
     loss_matrix,
 )
-from marginaldro.model import Dataset, ParamVector
+from marginaldro.model import Dataset, ParamVector, loss_values
 
 ALPHAS = (0.05, 0.1, 0.3, 0.5, 1.0)
 
@@ -81,6 +81,24 @@ def test_eval_replicates_condition_filter():
     no_conf = generate_replicates(SimSpec(n=50, d=1, variant="simdist", seed=5), m=2)
     with pytest.raises(ValueError):
         eval_replicates(p, no_conf, "absolute_deviation", [0.1], condition=1.0)
+
+
+def test_loss_matrix_matches_loss_values_per_column():
+    """Each replicate column holds the bits ``loss_values`` gives for it."""
+    ds = generate_replicates(SimSpec(n=257, d=3, variant="simdist", seed=8), m=6)
+    p = ParamVector([0.4, -0.7, 0.2], 0.05)
+    signs = np.where(ds.replicates > np.median(ds.replicates), 1.0, -1.0)
+    for kind, reps in (("absolute_deviation", ds.replicates), ("logistic", signs),
+                       ("zero_one", signs)):
+        got = loss_matrix(kind, p, ds.features, reps)
+        assert got.shape == reps.shape and got.dtype == np.float64
+        for j in range(reps.shape[1]):
+            want = loss_values(kind, p, ds.features, reps[:, j])
+            assert got[:, j].tobytes() == want.tobytes(), (kind, j)
+        with pytest.raises(ValueError):
+            loss_matrix("squared", p, ds.features, reps)
+    with pytest.raises(ValueError):
+        loss_matrix("logistic", p, ds.features, ds.replicates)
 
 
 def test_joint_dominates_replicates():

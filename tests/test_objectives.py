@@ -21,6 +21,7 @@ from marginaldro.objectives import (
     robust_surrogate,
 )
 from marginaldro.optim import ObjectiveFunction, minimize_eta_plan, minimize_plan
+from marginaldro.variational import KernelSpec, gram, median_bandwidth
 
 TWO_POINT = dict(
     losses=np.array([0.0, 2.0]),
@@ -51,7 +52,8 @@ def test_pairwise_distance_power():
 
 
 def test_pairwise_distance_power_matches_broadcast_formula():
-    """The in-place build gives the bits of the plain broadcast expression."""
+    """The in-place builds give the bits of the plain broadcast expressions,
+    for the distances and for the Gram matrix and median bandwidth."""
     rng = np.random.default_rng(3)
     for n, d, p in [(1, 1, 2.0), (7, 1, 1.5), (60, 2, 2.0), (60, 2, 3.0),
                     (300, 5, 1.5), (1100, 2, 2.0)]:
@@ -62,6 +64,15 @@ def test_pairwise_distance_power_matches_broadcast_formula():
         np.fill_diagonal(dist, 0.0)
         expected = dist if p == 2.0 else dist ** (p - 1.0)
         assert np.array_equal(pairwise_distance_power(x, p), expected)
+
+        d2 = np.maximum(d2, 0.0)
+        kernel = KernelSpec(bandwidth=0.7)
+        k = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
+        np.fill_diagonal(k, 1.0)
+        assert np.array_equal(gram(x, kernel, check=False), k)
+        off = d2[np.triu_indices(n, k=1)]
+        med = float(np.sqrt(np.median(off))) if off.size else 1.0
+        assert median_bandwidth(x) == (med if med > 0 else 1.0)
 
 
 def _kernel_and_plan(n, seed=0):
@@ -209,7 +220,8 @@ def test_subgradient_hinge_inactive():
     plan = np.array([[0.0, 0.4], [0.1, 0.0]])
     fn = ObjectiveFunction(ds, "absolute_deviation", spec, "marginal")
     # theta = 0, intercept = 0, eta = 5: all hinges off
-    _, g_theta, g_eta, g_plan, _ = fn.value_grad(np.zeros(2), 5.0, plan)
+    _, g_theta, g_eta, plan_vec, _ = fn.value_grad(np.zeros(2), 5.0, plan)
+    g_plan = fn.transport.plan_grad(plan_vec)
     assert np.allclose(g_theta, 0.0)
     assert g_eta == pytest.approx(1.0)
     dist = pairwise_distance_power(ds.features, 2.0)
@@ -231,7 +243,8 @@ def test_subgradient_matches_finite_differences():
             fn = ObjectiveFunction(ds, "absolute_deviation", spec,
                                    "marginal_confounded" if confounded else "marginal")
             w = np.append(state.params.theta, state.params.intercept)
-            _, g_theta, g_eta, g_plan, _ = fn.value_grad(w, state.eta, state.plan)
+            _, g_theta, g_eta, plan_vec, _ = fn.value_grad(w, state.eta, state.plan)
+            g_plan = fn.transport.plan_grad(plan_vec)
 
             def val(st):
                 return robust_surrogate(st, ds, "absolute_deviation", spec, confounded)
