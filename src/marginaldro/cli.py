@@ -9,8 +9,10 @@ cv      grid-search lipschitz_ratio scored by held-out replicate risk
 repro   run a scripted desk-scale experiment and emit plot-ready CSVs
 
 Every command is deterministic given its flags, config file, and seed
-(environment variable DRO_SEED is the seed fallback).  Exit codes: 0 on
-success, 1 on numeric failure, 2 on usage or I/O errors.
+(environment variable DRO_SEED is the seed fallback).  Rows come from
+--in-csv or a seeded --variant draw (``_dataset``); a flag the run would
+ignore is a usage error.  Exit codes: 0 on success, 1 on numeric failure,
+2 on usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT
 from .duals import RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
 from .model import Dataset, ParamVector
-from .optim import OBJECTIVES, PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, train
+from .optim import OBJECTIVES, PLAN_OBJECTIVES, OptimizerConfig, train
 from .tuning import cross_validate
 
 USAGE_EXIT = 2
@@ -50,20 +53,21 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
+        subparser = subparsers[args.command]
+        # flags set on the command line; config-file values count as defaults
+        given = {act.option_strings[-1] for act in subparser._actions  # noqa: SLF001
+                 if act.option_strings and getattr(args, act.dest, act.default) != act.default}
+        if args.config:
+            _apply_config_defaults(subparser, args.config)
+            args = parser.parse_args(argv)  # command-line flags still win
+        args.given = given
+        return args.func(args)
     except SystemExit as err:
         return USAGE_EXIT if err.code not in (0, None) else 0
-    try:
-        if getattr(args, "config", None):
-            _apply_config_defaults(subparsers[args.command], args.config)
-            args = parser.parse_args(argv)  # command-line flags still win
-        return args.func(args)
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return NUMERIC_EXIT
     except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except RuntimeError as err:
+    except (RuntimeError, ArithmeticError) as err:  # DivergenceError is a RuntimeError
         print(f"error: {err}", file=sys.stderr)
         return NUMERIC_EXIT
 
@@ -162,14 +166,10 @@ def _apply_config_defaults(subparser, path):
             if key not in CONFIG_KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
             overrides[key] = value
-    actions = {act.dest: act for act in subparser._actions}  # noqa: SLF001
-    defaults = {}
-    for key, raw in overrides.items():
-        act = actions.get(key)
-        if act is None:
-            continue  # valid key, unused by this subcommand
-        defaults[key] = raw if act.type is None else act.type(raw)
-    subparser.set_defaults(**defaults)
+    dests = {act.dest for act in subparser._actions}  # noqa: SLF001
+    # string defaults go through each flag's type when parsed, so a bad value
+    # is reported against its flag; valid keys this subcommand lacks are skipped
+    subparser.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
 
 
 def _seed_of(args) -> int:
@@ -298,40 +298,69 @@ def _fmt(v):
 
 # ---------------------------------------------------------------- commands
 
+def _dataset(args, m=None) -> Dataset:
+    """The command's rows: ``--in-csv``, else a seeded ``--variant`` draw with
+    m replicate labels per row when m is given."""
+    if getattr(args, "in_csv", None) is not None:
+        _reject_given(args, ("--variant", "--n", "--d", "--alpha-true", "--replicates"),
+                      "sets the synthetic draw, which --in-csv replaces")
+        return read_dataset_csv(args.in_csv, args.loss)
+    if args.variant is None:
+        raise UsageError(f"{args.command} needs --in-csv or --variant")
+    spec = _sim_spec(args)
+    return generate(spec) if m is None else generate_replicates(spec, m)
+
+
+def _sim_spec(args) -> SimSpec:
+    return SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true, variant=args.variant,
+                   seed=_seed_of(args))
+
+
+def _reject_given(args, flags, why):
+    """Raise a UsageError naming the first of ``flags`` the command line set."""
+    for flag in flags:
+        if flag in args.given:
+            raise UsageError(f"{flag} {why}")
+
+
+def _float_list(text, flag):
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"bad {flag} list: {text!r}") from None
+    if not values:
+        raise UsageError(f"empty {flag} list")
+    return values
+
+
+def _robust_spec(args):
+    """The training flags' RobustSpec at the first --lipschitz-ratio, and the list."""
+    ratios = _float_list(args.lipschitz_ratio, "--lipschitz-ratio")
+    spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=ratios[0],
+                      eps=args.eps, delta=args.delta)
+    return spec, ratios
+
+
+def _opt_config(args) -> OptimizerConfig:
+    return OptimizerConfig(objective=args.objective, max_iters=args.iters,
+                           step0=args.step0, ridge=args.ridge,
+                           fit_intercept=not args.no_intercept)
+
+
 def cmd_gen(args) -> int:
     if args.replicates < 0:
         raise UsageError(f"--replicates must be >= 0, got {args.replicates}")
-    spec = SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
-                   variant=args.variant, seed=_seed_of(args))
-    if args.replicates > 0:
-        ds = generate_replicates(spec, args.replicates)
-    else:
-        ds = generate(spec)
-    write_dataset_csv(ds, args.out_csv)
+    write_dataset_csv(_dataset(args, args.replicates or None), args.out_csv)
     return 0
-
-
-def _robust_spec(args) -> RobustSpec:
-    ratio = args.lipschitz_ratio
-    if isinstance(ratio, str):
-        if "," in ratio:
-            raise UsageError("train takes a single lipschitz_ratio; use cv for grids")
-        ratio = float(ratio)
-    return RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=ratio,
-                      eps=args.eps, delta=args.delta)
-
-
-def _opt_config(args, objective=None) -> OptimizerConfig:
-    return OptimizerConfig(objective=objective or args.objective, max_iters=args.iters,
-                           step0=args.step0, ridge=args.ridge,
-                           fit_intercept=not args.no_intercept)
 
 
 def cmd_train(args) -> int:
     if not args.in_csv:
         raise UsageError("train requires --in-csv (or in_csv in the config file)")
-    ds = read_dataset_csv(args.in_csv, args.loss)
-    result = train(ds, args.loss, _robust_spec(args), _opt_config(args))
+    spec, ratios = _robust_spec(args)
+    if len(ratios) > 1:
+        raise UsageError("train takes a single lipschitz_ratio; use cv for grids")
+    result = train(_dataset(args), args.loss, spec, _opt_config(args))
     write_model(result.params, args.out_model)
     trace_path = args.out_trace or args.out_model + ".trace.jsonl"
     with open(trace_path, "w", newline="\n") as fh:
@@ -343,84 +372,49 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.condition is not None and args.mode != "replicates":
-        raise UsageError("--condition applies only to --mode replicates")
+    if args.mode != "replicates":
+        _reject_given(args, ("--condition", "--replicates"), "applies only to --mode replicates")
     params = read_model(args.model)
-    alphas = _parse_alphas(args.alphas)
-    seed = _seed_of(args)
+    alphas = _float_list(args.alphas, "--alphas")
     if args.mode == "oracle":
         if args.in_csv is not None:
             raise UsageError("oracle mode evaluates a synthetic variant, not a CSV")
-        variant = args.variant or "simdist"
-        if variant == "confounded":
-            raise UsageError("oracle mode does not support the confounded variant; "
-                             "use --mode replicates with --condition")
-        feats = generate(SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
-                                 variant=variant, seed=seed)).features
-        report = eval_oracle(params, feats, variant, alphas)
+        if args.loss != "absolute_deviation":
+            raise UsageError(f"oracle mode scores absolute deviation; --loss {args.loss} "
+                             "needs --mode replicates or joint")
+        args.variant = args.variant or "simdist"
+        report = eval_oracle(params, _dataset(args).features, args.variant, alphas)
     elif args.mode == "replicates":
-        ds = _eval_dataset(args, seed, need_replicates=True)
+        ds = _dataset(args, args.replicates)
+        if ds.replicates is None:
+            raise UsageError(f"{args.in_csv}: no y_rep columns for replicate evaluation")
         report = eval_replicates(params, ds, args.loss, alphas, condition=args.condition)
     else:
-        ds = _eval_dataset(args, seed, need_replicates=False)
-        report = eval_joint(params, ds, args.loss, alphas)
+        report = eval_joint(params, _dataset(args), args.loss, alphas)
     _write_rows(args.out_csv, ("alpha0", "risk", "method"), report.rows())
     return 0
 
 
-def _eval_dataset(args, seed, need_replicates):
-    if args.in_csv is not None:
-        ds = read_dataset_csv(args.in_csv, args.loss)
-        if need_replicates and ds.replicates is None:
-            raise UsageError(f"{args.in_csv}: no y_rep columns for replicate evaluation")
-        return ds
-    if args.variant is None:
-        raise UsageError("eval needs --in-csv or --variant")
-    spec = SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
-                   variant=args.variant, seed=seed)
-    if need_replicates:
-        return generate_replicates(spec, args.replicates)
-    return generate(spec)
-
-
-def _parse_alphas(text):
-    try:
-        alphas = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad --alphas list: {text!r}") from None
-    if not alphas:
-        raise UsageError("empty --alphas list")
-    return alphas
-
-
 def cmd_cv(args) -> int:
+    if args.in_csv is None:
+        _reject_given(args, ("--holdout-frac",), "applies only with --in-csv")
     if not 0.0 < args.holdout_frac < 1.0:
         raise UsageError(f"--holdout-frac must lie in (0, 1), got {args.holdout_frac:g}")
-    grid = _parse_alphas(args.lipschitz_ratio)  # same comma-list syntax
-    seed = _seed_of(args)
-    spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=grid[0],
-                      eps=args.eps, delta=args.delta)
-    opt = _opt_config(args)
-    if args.in_csv is not None:
-        full = read_dataset_csv(args.in_csv, args.loss)
-        n_hold = max(1, int(round(args.holdout_frac * full.n)))
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(full.n)
+    spec, grid = _robust_spec(args)
+    ds = _dataset(args)
+    if args.in_csv is None:
+        holdout = _replicate_holdout(_sim_spec(args))
+    else:
+        n_hold = max(1, int(round(args.holdout_frac * ds.n)))
+        order = np.random.default_rng(_seed_of(args)).permutation(ds.n)
         hold_idx, train_idx = order[:n_hold], order[n_hold:]
         if train_idx.size == 0:
             raise UsageError("holdout fraction leaves no training rows")
-        ds = _subset(full, train_idx)
-        holdout = _subset(full, hold_idx)
+        ds, holdout = _subset(ds, train_idx), _subset(ds, hold_idx)
         if holdout.replicates is None:
             # fall back to single-draw replicates (the m=1 estimate)
-            holdout = Dataset(holdout.features, holdout.labels,
-                              replicates=holdout.labels[:, None],
-                              group=holdout.group, confounder=holdout.confounder)
-    else:
-        ds = generate(SimSpec(n=args.n, d=args.d, alpha_true=args.alpha_true,
-                              variant=args.variant, seed=seed))
-        holdout = _replicate_holdout(args.variant, args.d, seed, args.alpha_true)
-    result = cross_validate(ds, args.loss, spec, opt, grid, holdout,
+            holdout = replace(holdout, replicates=holdout.labels[:, None])
+    result = cross_validate(ds, args.loss, spec, _opt_config(args), grid, holdout,
                             score_alpha0=args.cv_alpha0, jobs=args.jobs)
     rows = [(e.lipschitz_ratio, e.score, "ok" if e.error is None else "failed")
             for e in result.entries]
@@ -430,10 +424,7 @@ def cmd_cv(args) -> int:
 
 
 def _subset(ds: Dataset, idx) -> Dataset:
-    return Dataset(ds.features[idx], ds.labels[idx],
-                   replicates=None if ds.replicates is None else ds.replicates[idx],
-                   group=None if ds.group is None else ds.group[idx],
-                   confounder=None if ds.confounder is None else ds.confounder[idx])
+    return Dataset(**{name: None if col is None else col[idx] for name, col in vars(ds).items()})
 
 
 # ---------------------------------------------------------------- repro
@@ -450,10 +441,10 @@ def cmd_repro(args) -> int:
     return 0
 
 
-def _replicate_holdout(variant, d, seed, alpha_true=0.15) -> Dataset:
-    """The held-out replicate sample CV scores on: 1000 rows, 100 labels each."""
-    return generate_replicates(SimSpec(n=1000, d=d, alpha_true=alpha_true,
-                                       variant=variant, seed=seed + 100_003), m=100)
+def _replicate_holdout(spec: SimSpec) -> Dataset:
+    """The held-out replicate sample CV scores on: 1000 rows, 100 labels each,
+    drawn like the training ``spec`` under another seed."""
+    return generate_replicates(replace(spec, n=1000, seed=spec.seed + 100_003), m=100)
 
 
 def _baselines(ds, alpha0) -> dict:
@@ -465,32 +456,32 @@ def _baselines(ds, alpha0) -> dict:
             for objective in ("erm", "joint_pnorm")}
 
 
-def _fit_models(ds, seed, variant, d=1, iters=300) -> dict:
-    """ERM / joint p = 2 / CV'd marginal DRO parameters on one dataset.
+def _fit_models(spec: SimSpec, iters=300) -> dict:
+    """ERM / joint p = 2 / CV'd marginal DRO parameters on one draw of ``spec``.
 
     Marginal DRO trains at alpha0 = 0.3 over L/eps in {0.1, 1, 10, 100} and
     is selected by its held-out replicate risk at alpha0 = 0.05.
     """
+    ds = generate(spec)
     opt = OptimizerConfig(objective="marginal", max_iters=iters, step0=0.5,
                           fit_intercept=False)
     cv = cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=2.0), opt,
-                        (0.1, 1.0, 10.0, 100.0), _replicate_holdout(variant, d, seed),
+                        (0.1, 1.0, 10.0, 100.0), _replicate_holdout(spec),
                         score_alpha0=0.05)
     return {**_baselines(ds, 0.3), "marginal": cv.best_result.params}
 
 
-def _oracle_reports(models: dict, seed, variant, alphas=(0.05,), d=1) -> dict:
-    """Oracle risk report of each named ParamVector on one fresh draw."""
-    feats = generate(SimSpec(n=ORACLE_EVAL_ROWS, d=d, variant=variant,
-                             seed=seed + 77)).features
-    return {name: eval_oracle(params, feats, variant, alphas)
+def _oracle_reports(models: dict, spec: SimSpec, alphas=(0.05,)) -> dict:
+    """Oracle risk report of each named ParamVector on one fresh draw like ``spec``."""
+    feats = generate(replace(spec, n=ORACLE_EVAL_ROWS, seed=spec.seed + 77)).features
+    return {name: eval_oracle(params, feats, spec.variant, alphas)
             for name, params in models.items()}
 
 
 def _repro_toy(seed):
-    ds = generate(SimSpec(n=2000, d=1, variant="toy_1d", seed=seed))
-    models = _fit_models(ds, seed, "toy_1d")
-    reports = _oracle_reports(models, seed, "toy_1d", (0.05, 1.0))
+    spec = SimSpec(n=2000, d=1, variant="toy_1d", seed=seed)
+    models = _fit_models(spec)
+    reports = _oracle_reports(models, spec, (0.05, 1.0))
     rows = [(name, float(models[name].theta[0]), models[name].intercept,
              report.risks[0], report.mean_risk) for name, report in reports.items()]
     return ("method", "slope", "intercept", "risk_alpha005", "mean_risk"), rows
@@ -498,19 +489,20 @@ def _repro_toy(seed):
 
 def _repro_alpha_sweep(seed):
     alphas = (0.05, 0.1, 0.15, 0.3, 0.5, 1.0)
-    ds = generate(SimSpec(n=2000, d=1, variant="simdist", seed=seed))
-    reports = _oracle_reports(_fit_models(ds, seed, "simdist"), seed, "simdist", alphas)
+    spec = SimSpec(n=2000, d=1, variant="simdist", seed=seed)
+    reports = _oracle_reports(_fit_models(spec), spec, alphas)
     rows = [(name, a, r) for name, report in reports.items() for a, r, _ in report.rows()]
     # single-slope oracle reference per test alpha0
     slopes = {s: ParamVector([s]) for s in np.linspace(-0.25, 1.25, 76)}
-    best = np.min([r.risks for r in _oracle_reports(slopes, seed, "simdist", alphas).values()],
+    best = np.min([r.risks for r in _oracle_reports(slopes, spec, alphas).values()],
                   axis=0)
     rows.extend(("oracle_best_slope", a, float(r)) for a, r in zip(alphas, best))
     return ("method", "alpha0", "risk"), rows
 
 
 def _repro_lip_sensitivity(seed):
-    ds = generate(SimSpec(n=2000, d=1, variant="simdist", seed=seed))
+    spec = SimSpec(n=2000, d=1, variant="simdist", seed=seed)
+    ds = generate(spec)
     opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
                           fit_intercept=False)
     models = {("marginal", ratio): train(ds, "absolute_deviation",
@@ -519,7 +511,7 @@ def _repro_lip_sensitivity(seed):
               for ratio in (0.1, 1.0, 10.0, 100.0, 1000.0)}
     models.update(((name, ""), params) for name, params in _baselines(ds, 0.3).items())
     rows = [(*key, report.risks[0])
-            for key, report in _oracle_reports(models, seed, "simdist").items()]
+            for key, report in _oracle_reports(models, spec).items()]
     return ("method", "lipschitz_ratio", "risk_alpha005"), rows
 
 
@@ -527,10 +519,9 @@ def _repro_dimdep(seed):
     rows = []
     for d in (1, 10):
         for n in (200, 500, 2000):
-            ds = generate(SimSpec(n=n, d=d, variant="simdist", seed=seed))
-            models = _fit_models(ds, seed, "simdist", d=d, iters=250)
+            spec = SimSpec(n=n, d=d, variant="simdist", seed=seed)
             rows.extend((d, n, name, report.risks[0]) for name, report
-                        in _oracle_reports(models, seed, "simdist", d=d).items())
+                        in _oracle_reports(_fit_models(spec, iters=250), spec).items())
     return ("d", "n", "method", "risk_alpha005"), rows
 
 

@@ -9,9 +9,10 @@ Z ~ Bernoulli(alpha_true), X1 = (1 - 2Z) * U[0, 1]:
                  on a symmetric five-point grid.
 
 Rows with X1 < 0 form the noiseless minority group (Y = |X1| exactly).
-Randomness comes from numpy's PCG64 with SeedSequence-spawned streams per
-column, so covariates are bit-identical between ``generate`` and
-``generate_replicates`` for the same spec.
+``generate`` and ``generate_replicates`` share one private draw: numpy's
+PCG64 with SeedSequence-spawned streams per column, so for the same spec the
+covariates are bit-identical, and ``generate`` is ``generate_replicates``
+with m = 1 less its replicate column.
 """
 
 from __future__ import annotations
@@ -54,38 +55,34 @@ class SimSpec:
             raise ValueError("toy_1d is one-dimensional; use variant='simdist' for d > 1")
 
 
-def _streams(spec: SimSpec):
+def _draw(spec: SimSpec, m: int):
+    """Covariates and m label draws per row: (features, replicates, z, confounder).
+
+    Each column has its own SeedSequence-spawned stream, so the covariates do
+    not depend on m.
+    """
     z_seq, x1_seq, rest_seq, y_seq = np.random.SeedSequence(spec.seed).spawn(4)
-    return (np.random.default_rng(z_seq), np.random.default_rng(x1_seq),
-            np.random.default_rng(rest_seq), np.random.default_rng(y_seq))
-
-
-def _covariates(spec: SimSpec, rng_z, rng_x1, rng_rest):
-    z = (rng_z.random(spec.n) < spec.alpha_true).astype(float)
-    x1 = (1.0 - 2.0 * z) * rng_x1.random(spec.n)
-    if spec.d > 1:
-        if spec.variant == "confounded":
-            rest = rng_rest.random((spec.n, spec.d - 1))
-        else:
-            rest = rng_rest.uniform(-1.0, 1.0, size=(spec.n, spec.d - 1))
-        features = np.column_stack([x1, rest])
-    else:
-        features = x1[:, None]
-    return z, x1, features
+    z = (np.random.default_rng(z_seq).random(spec.n) < spec.alpha_true).astype(float)
+    x1 = (1.0 - 2.0 * z) * np.random.default_rng(x1_seq).random(spec.n)
+    features = x1[:, None]
+    if spec.d > 1:  # X2..Xd only as a temporary, freed before the labels are drawn
+        rng_rest, shape = np.random.default_rng(rest_seq), (spec.n, spec.d - 1)
+        features = np.column_stack([x1, rng_rest.random(shape) if spec.variant == "confounded"
+                                    else rng_rest.uniform(-1.0, 1.0, size=shape)])
+    right = (x1 >= 0)[:, None]
+    rng_y = np.random.default_rng(y_seq)
+    if spec.variant == "confounded":
+        conf = rng_y.choice(CONFOUNDER_SUPPORT, size=spec.n)
+        reps = np.tile(np.abs(x1)[:, None] + right * conf[:, None], (1, m))
+        return features, reps, z, conf
+    reps = np.abs(x1)[:, None] + right * rng_y.standard_normal((spec.n, m))
+    return features, reps, z, None
 
 
 def generate(spec: SimSpec) -> Dataset:
     """One seeded draw of the chosen variant, with diagnostics columns."""
-    rng_z, rng_x1, rng_rest, rng_y = _streams(spec)
-    z, x1, features = _covariates(spec, rng_z, rng_x1, rng_rest)
-    right = x1 >= 0
-    if spec.variant == "confounded":
-        conf = rng_y.choice(CONFOUNDER_SUPPORT, size=spec.n)
-        labels = np.abs(x1) + right * conf
-        return Dataset(features, labels, group=z, confounder=conf)
-    noise = rng_y.standard_normal(spec.n)
-    labels = np.abs(x1) + right * noise
-    return Dataset(features, labels, group=z)
+    features, reps, z, conf = _draw(spec, 1)
+    return Dataset(features, reps[:, 0], group=z, confounder=conf)
 
 
 def generate_replicates(spec: SimSpec, m: int) -> Dataset:
@@ -98,17 +95,8 @@ def generate_replicates(spec: SimSpec, m: int) -> Dataset:
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    rng_z, rng_x1, rng_rest, rng_y = _streams(spec)
-    z, x1, features = _covariates(spec, rng_z, rng_x1, rng_rest)
-    right = x1 >= 0
-    base = np.abs(x1)
-    if spec.variant == "confounded":
-        conf = rng_y.choice(CONFOUNDER_SUPPORT, size=spec.n)
-        reps = np.tile((base + right * conf)[:, None], (1, m))
-        return Dataset(features, reps[:, 0], replicates=reps, group=z, confounder=conf)
-    noise = rng_y.standard_normal((spec.n, m))
-    reps = base[:, None] + right[:, None] * noise
-    return Dataset(features, reps[:, 0], replicates=reps, group=z)
+    features, reps, z, conf = _draw(spec, m)
+    return Dataset(features, reps[:, 0], replicates=reps, group=z, confounder=conf)
 
 
 def conditional_risk_oracle(params: ParamVector, x, variant: str) -> float:

@@ -24,9 +24,11 @@ class RobustSpec:
     ----------
     alpha0 : float in (0, 1]
         Postulated lower bound on the subpopulation proportion.
-    p : float in (1, 2]
-        Dual exponent of the moment bound (p = 1 is allowed on the joint
-        CVaR paths only).
+    p : float in [1, 2]
+        Dual exponent of the moment bound.  p = 1 is the CVaR dual
+        (``joint_cvar``); ``joint_pnorm``, ``marginal``,
+        ``marginal_confounded`` and the plan minimizers divide by p - 1 and
+        raise ValueError at p = 1 (``optim.check_p``).
     lipschitz_ratio : float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
         penalty.

@@ -102,6 +102,7 @@ class ObjectiveFunction:
                  kernel: KernelSpec | None = None, ridge: float = 0.0):
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        check_p(objective, spec)
         self.dataset = dataset
         self.kind = kind
         self.objective = objective
@@ -298,6 +299,13 @@ def _eta_bound(spec: RobustSpec, losses) -> float:
     return float(np.max(losses)) if losses.size else 0.0
 
 
+def check_p(objective: str, spec: RobustSpec):
+    """Raise ValueError at p = 1 for the objectives whose dual divides by p - 1."""
+    if spec.p <= 1.0 and objective in ("joint_pnorm", "marginal", "marginal_confounded"):
+        raise ValueError(f"{objective} needs p > 1, got p = {spec.p:g}; "
+                         "use joint_cvar for p = 1")
+
+
 def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
                   step0: float = 0.2, confounded: bool = False):
     """Infimum of the transport objective over plans at fixed losses and eta.
@@ -305,6 +313,7 @@ def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
     The frozen-loss descent with eta fixed, alpha0 = 1 and no floor, so the
     surrogate is the bare objective plus eta; returns (best value, best plan).
     """
+    check_p("marginal_confounded" if confounded else "marginal", spec)
     losses = np.asarray(losses, dtype=float).ravel()
     spec = replace(resolve_eps(spec, losses), alpha0=1.0)
     kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)
@@ -320,6 +329,7 @@ def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
     Returns (best value, best eta, best plan) of
     (1/alpha0) max(objective, eps^(q-1)) + eta.
     """
+    check_p("marginal_confounded" if confounded else "marginal", spec)
     losses = np.asarray(losses, dtype=float).ravel()
     spec = resolve_eps(spec, losses)
     kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)

@@ -5,7 +5,8 @@ replicate estimate of worst-case risk on a held-out dataset (row-mean losses
 over repeated labels, then the CVaR tail mean).  Ties break toward the
 smaller lipschitz_ratio; grid points that fail numerically (ValueError,
 ArithmeticError, DivergenceError) are recorded, not fatal, unless every point
-fails.  Any other exception is a bug and propagates.
+fails.  Any other exception is a bug and propagates.  A p the objective
+cannot take (``optim.check_p``) is raised before the first grid point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .duals import RobustSpec, replicate_worst_case
 from .evaluation import loss_matrix
 from .model import Dataset
-from .optim import DivergenceError, OptimizerConfig, TrainResult, train
+from .optim import DivergenceError, OptimizerConfig, TrainResult, check_p, train
 
 
 @dataclass
@@ -51,6 +52,7 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
+    check_p(opt.objective, spec)  # a spec error, not one grid point's failure
     score_alpha0 = spec.alpha0 if score_alpha0 is None else float(score_alpha0)
 
     def run(ratio: float) -> CVEntry | tuple[CVEntry, TrainResult]:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from marginaldro import cli
 from marginaldro.cli import (
     CSV_CHUNK_ROWS,
     main,
@@ -255,6 +256,93 @@ def test_cv_holdout_frac_must_be_a_proper_fraction(workdir, capsys):
                      "--out-csv", os.devnull])
         assert code == 2, frac
         assert "--holdout-frac" in capsys.readouterr().err
+
+
+IGNORED_FLAG_CASES = [
+    # (command and mode, flag a run would ignore, its value)
+    (["eval", "--mode", "oracle"], "--loss", "logistic"),
+    (["eval", "--mode", "oracle"], "--replicates", "5"),
+    (["eval", "--mode", "joint", "--variant", "simdist"], "--replicates", "5"),
+    (["eval", "--mode", "joint", "--in-csv", "lin.csv"], "--variant", "simdist"),
+    (["eval", "--mode", "joint", "--in-csv", "lin.csv"], "--n", "7"),
+    (["eval", "--mode", "joint", "--in-csv", "lin.csv"], "--d", "2"),
+    (["eval", "--mode", "joint", "--in-csv", "lin.csv"], "--alpha-true", "0.3"),
+    (["eval", "--mode", "replicates", "--in-csv", "rep.csv"], "--replicates", "99"),
+    (["cv", "--in-csv", "lin.csv"], "--variant", "toy_1d"),
+    (["cv", "--in-csv", "lin.csv"], "--n", "7"),
+    (["cv", "--in-csv", "lin.csv"], "--d", "2"),
+    (["cv", "--in-csv", "lin.csv"], "--alpha-true", "0.3"),
+    (["cv", "--variant", "simdist"], "--holdout-frac", "0.3"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAG_CASES,
+                         ids=[" ".join([*c, f]) for c, f, _ in IGNORED_FLAG_CASES])
+def test_flag_the_command_would_ignore_is_rejected(workdir, capsys, command, flag, value):
+    write_line_csv(workdir / "lin.csv")
+    assert main(["gen", "--n", "20", "--replicates", "3",
+                 "--out-csv", str(workdir / "rep.csv")]) == 0
+    (workdir / "m.txt").write_text("0.5\n0.0\n")
+    argv = [str(workdir / a) if a.endswith(".csv") else a for a in command]
+    if argv[0] == "eval":
+        argv += ["--model", str(workdir / "m.txt")]
+    out = workdir / "out.csv"
+    assert main([*argv, flag, value, "--out-csv", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_are_defaults_not_flags(workdir, capsys):
+    """A config value for a flag the command ignores passes, like the default."""
+    write_line_csv(workdir / "lin.csv")
+    (workdir / "m.txt").write_text("0.0\n0.0\n")
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("n=50\nd=3\n")
+    argv = ["eval", "--model", str(workdir / "m.txt"), "--in-csv", str(workdir / "lin.csv"),
+            "--alphas", "1.0"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    assert main([*argv, "--n", "50"]) == 2
+
+
+def test_bad_config_value_names_its_flag(workdir, capsys):
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("alpha0=abc\n")
+    write_line_csv(workdir / "lin.csv")
+    assert main(["train", "--in-csv", str(workdir / "lin.csv"), "--config", str(cfg)]) == 2
+    assert "--alpha0" in capsys.readouterr().err
+
+
+def test_bad_ratio_list_names_its_flag(capsys):
+    assert main(["cv", "--lipschitz-ratio", "1,abc"]) == 2
+    assert "bad --lipschitz-ratio list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train", "--objective", "marginal"],
+                                     ["train", "--objective", "marginal_confounded"],
+                                     ["train", "--objective", "joint_pnorm"],
+                                     ["cv", "--objective", "marginal"]])
+def test_p1_is_a_usage_error(workdir, capsys, command):
+    write_line_csv(workdir / "lin.csv")
+    argv = [*command, "--in-csv", str(workdir / "lin.csv"), "--p", "1"]
+    if command[0] == "train":
+        argv += ["--out-model", str(workdir / "m.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p > 1" in err and "joint_cvar" in err
+
+
+def test_arithmetic_error_is_a_numeric_failure(workdir, capsys, monkeypatch):
+    def divide_by_zero(*args):
+        return 1.0 / 0
+
+    monkeypatch.setattr(cli, "train", divide_by_zero)
+    write_line_csv(workdir / "lin.csv")
+    assert main(["train", "--in-csv", str(workdir / "lin.csv"),
+                 "--out-model", str(workdir / "m.txt")]) == 1
+    assert capsys.readouterr().err == "error: float division by zero\n"
 
 
 def test_cv_singleton_and_table(workdir):

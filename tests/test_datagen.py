@@ -94,6 +94,21 @@ def test_replicates_share_covariates_with_generate():
     assert np.array_equal(generate(spec).features, generate_replicates(spec, 3).features)
 
 
+@pytest.mark.parametrize("n", [1, 3001])
+@pytest.mark.parametrize("variant", ["toy_1d", "simdist", "confounded"])
+def test_generate_is_the_single_replicate_draw(variant, n):
+    """generate(spec) is generate_replicates(spec, 1) without its replicate column."""
+    spec = SimSpec(n=n, d=1 if variant == "toy_1d" else 3, variant=variant, seed=11)
+    one, rep = generate(spec), generate_replicates(spec, 1)
+    assert one.replicates is None and rep.replicates.shape == (n, 1)
+    assert rep.replicates[:, 0].tobytes() == rep.labels.tobytes()
+    for name in ("features", "labels", "group", "confounder"):
+        got, want = getattr(one, name), getattr(rep, name)
+        assert (got is None) == (want is None) == (name == "confounder" and variant != "confounded")
+        if want is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def test_oracle_known_values():
     # prediction equal to x1 on the right group: folded-normal mean sqrt(2/pi)
     p = ParamVector([1.0])

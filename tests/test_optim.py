@@ -137,6 +137,28 @@ def test_optimizer_config_validation():
         OptimizerConfig(step0=0.0)
 
 
+@pytest.mark.parametrize("objective", ["joint_pnorm", "marginal", "marginal_confounded"])
+def test_p1_rejected_before_distances(monkeypatch, objective):
+    """The objectives whose dual divides by p - 1 refuse p = 1 up front."""
+    def no_distances(*args):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(optim, "pairwise_distance_power", no_distances)
+    ds = generate(SimSpec(n=12, d=1, variant="toy_1d", seed=0))
+    spec = RobustSpec(alpha0=0.2, p=1.0, eps=1.0)
+    with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
+        train(ds, "absolute_deviation", spec, OptimizerConfig(objective=objective, max_iters=2))
+    if objective != "joint_pnorm":
+        confounded = objective == "marginal_confounded"
+        losses, dist = np.arange(4.0), np.ones((4, 4))
+        with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
+            optim.minimize_plan(losses, dist, 0.0, spec, iters=2, confounded=confounded)
+        with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
+            optim.minimize_eta_plan(losses, dist, spec, iters=2, confounded=confounded)
+    # p = 1 is the joint CVaR objective, which still trains
+    train(ds, "absolute_deviation", spec, OptimizerConfig(objective="joint_cvar", max_iters=2))
+
+
 def test_dense_plan_warning(monkeypatch):
     monkeypatch.setattr(optim, "DENSE_PLAN_WARN_N", 10)
     ds = generate(SimSpec(n=12, d=1, variant="toy_1d", seed=0))
