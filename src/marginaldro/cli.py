@@ -8,11 +8,11 @@ eval    sweep worst-case risk over test-time alpha0 values, write CSV
 cv      grid-search lipschitz_ratio scored by held-out replicate risk
 repro   run a scripted desk-scale experiment and emit plot-ready CSVs
 
-Every command is deterministic given its flags, config file, and seed
-(environment variable DRO_SEED is the seed fallback).  Rows come from
---in-csv or a seeded --variant draw (``_dataset``); a flag the run would
-ignore is a usage error.  Exit codes: 0 on success, 1 on numeric failure,
-2 on usage or I/O errors.
+Every command is deterministic given its flags and config file; a command
+that draws takes --seed (environment variable DRO_SEED is the fallback).
+Rows come from --in-csv or a seeded --variant draw (``_dataset``); a flag
+the run would ignore is a usage error.  Exit codes: 0 on success, 1 on
+numeric failure, 2 on usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ def _build_parser():
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, func):
+    def command(name, summary, func, seeded=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (fallback: DRO_SEED, then 0)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="random seed (fallback: DRO_SEED, then 0)")
         p.set_defaults(func=func)
         return p
 
@@ -111,7 +112,7 @@ def _build_parser():
                    help="also draw M replicate labels per row")
     g.add_argument("--out-csv", default="-", help="output path ('-' for stdout)")
 
-    t = command("train", "train a model on a CSV dataset", cmd_train)
+    t = command("train", "train a model on a CSV dataset", cmd_train, seeded=False)
     t.add_argument("--in-csv", required=False)
     t.add_argument("--objective", choices=OBJECTIVES, default="erm")
     training(t, "1.0", "L/eps (a single value here; a comma grid in cv)", 400)
@@ -374,6 +375,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.mode != "replicates":
         _reject_given(args, ("--condition", "--replicates"), "applies only to --mode replicates")
+    if args.in_csv is not None:  # cv keeps --seed: it seeds the split of its CSV rows
+        _reject_given(args, ("--seed",), "seeds the synthetic draw, which --in-csv replaces")
     params = read_model(args.model)
     alphas = _float_list(args.alphas, "--alphas")
     if args.mode == "oracle":

@@ -27,8 +27,9 @@ class RobustSpec:
     p : float in [1, 2]
         Dual exponent of the moment bound.  p = 1 is the CVaR dual
         (``joint_cvar``); ``joint_pnorm``, ``marginal``,
-        ``marginal_confounded`` and the plan minimizers divide by p - 1 and
-        raise ValueError at p = 1 (``optim.check_p``).
+        ``marginal_confounded`` and the plan minimizers divide by p - 1, and
+        ``bounded_holder``'s cost ||x_i - x_j||^(p-1) is 1 for every pair
+        there, so all of them raise ValueError at p = 1 (``optim.check_p``).
     lipschitz_ratio : float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
         penalty.

@@ -23,7 +23,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,11 @@ FLOOR_FRACTION = 1e-3
 
 # dense n x n plans are stored in float32 from this sample size on
 FLOAT32_PLAN_N = 1024
+
+# n x n arrays train holds at the plan dtype (the plan, the plan step's spare
+# and the folded penalty), and float64 ones alive while distances are built
+PLAN_ARRAYS = 3
+DISTANCE_BUILD_ARRAYS = 2
 
 # rows per block of a pass over a dense plan; fixed, so block sums reduce in
 # the same order for any worker count
@@ -99,6 +104,11 @@ def plan_dtype(n: int) -> np.dtype:
     return np.dtype(np.float32 if n >= FLOAT32_PLAN_N else np.float64)
 
 
+def dense_plan_bytes(n: int) -> int:
+    """Bytes of the n x n arrays ``train`` allocates for a plan objective."""
+    return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + DISTANCE_BUILD_ARRAYS * 8)
+
+
 def plan_adjustments(plan: np.ndarray) -> np.ndarray:
     """Per-example loss adjustments c_i = (1/n) sum_j (B_ij - B_ji)."""
     plan = np.asarray(plan)
@@ -142,15 +152,7 @@ def resolve_eps(spec: RobustSpec, losses) -> RobustSpec:
         return spec
     mean_loss = float(np.mean(np.asarray(losses, dtype=float)))
     target = max(FLOOR_FRACTION * spec.alpha0 * mean_loss, 1e-12)
-    eps = target ** (spec.p - 1.0)
-    return RobustSpec(
-        alpha0=spec.alpha0,
-        p=spec.p,
-        lipschitz_ratio=spec.lipschitz_ratio,
-        eps=eps,
-        delta=spec.delta,
-        loss_bound=spec.loss_bound,
-    )
+    return replace(spec, eps=target ** (spec.p - 1.0))
 
 
 def marginal_objective(losses, dist, eta: float, plan, spec: RobustSpec) -> float:
@@ -191,7 +193,9 @@ class DensePlanStep:
     plan gradient is always pen_dist_ij + vec_j - vec_i for a per-example
     ``vec`` (None when the gradient vanishes).  The n x n arrays are float32
     from FLOAT32_PLAN_N examples on, halving their memory traffic; values
-    and weights stay float64.
+    and weights stay float64.  ``zeros`` makes a solver's first plan, and
+    ``plan_step`` steps around the best iterate the solver keeps, into a
+    spare buffer of its own, so the solver holds one plan reference.
 
     ``plan_step`` makes one pass over fixed row blocks of the plan, on the
     module's worker threads, and accumulates c and the penalty of the new
@@ -203,21 +207,24 @@ class DensePlanStep:
     def __init__(self, pen_dist: np.ndarray):
         self.dtype = plan_dtype(pen_dist.shape[0])
         self.pen_dist = pen_dist.astype(self.dtype, copy=False)
-        self._stats = (None, None, None)  # (plan, c, penalty)
+        self._spare = None
+        self._stats = (None, None, None)  # (plan plan_step wrote, c, penalty)
+
+    def zeros(self) -> np.ndarray:
+        """A zero plan in the step's shape and dtype."""
+        return np.zeros(self.pen_dist.shape, dtype=self.dtype)
 
     def statistics(self, plan: np.ndarray):
         """(c, <pen_dist, B>) of ``plan``, both accumulated in float64.
 
-        They are cached for the array the last ``plan_step`` returned, which
-        must not be modified in between; any other plan gets a fresh pass.
+        For the array the last ``plan_step`` wrote they come from that pass
+        (the array must not be modified in between); any other plan gets a
+        fresh pass, which is not cached.
         """
-        cached, c, penalty = self._stats
-        if plan is not cached:
-            plan = np.asarray(plan)
-            c, penalty = _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1],
-                                    self.pen_dist)
-            self._stats = (plan, c, penalty)
-        return c, penalty
+        if plan is self._stats[0]:
+            return self._stats[1:]
+        plan = np.asarray(plan)
+        return _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1], self.pen_dist)
 
     def plan_grad(self, vec) -> np.ndarray:
         """The plan gradient as a new n x n array; no solver builds it, it is
@@ -230,11 +237,13 @@ class DensePlanStep:
         return g_plan
 
     def plan_step(self, plan: np.ndarray, vec, step: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """Projected update ``max(plan - step n^2 g_plan, 0)``, written to ``out``.
+                  keep: np.ndarray | None = None) -> np.ndarray:
+        """Projected update ``max(plan - step n^2 g_plan, 0)``; returns the new plan.
 
-        ``out`` defaults to ``plan`` itself; the array holding the new plan is
-        returned, which is ``plan`` untouched when ``vec`` is None.  The n^2
+        The update is written over ``plan`` unless ``plan is keep`` (the best
+        iterate a solver keeps): then it goes to the step's spare buffer,
+        made like ``plan`` on first use, and ``plan`` becomes the spare.
+        ``plan`` is returned untouched when ``vec`` is None.  The n^2
         preconditions the plan block: its gradient scales like 1/n^2 while
         optimal entries are O(1).  Each row block gets
         max(((B + u_i) - u_j) - s pen_dist, 0) with u = s vec, s = step n^2,
@@ -242,7 +251,11 @@ class DensePlanStep:
         """
         if vec is None:
             return plan
-        out = plan if out is None else out
+        out = plan
+        if plan is keep:
+            if self._spare is None or self._spare is plan:
+                self._spare = np.empty_like(plan)
+            out, self._spare = self._spare, plan
         n = plan.shape[0]
         scale = step * n * n
         u = (scale * vec).astype(self.dtype)

@@ -21,8 +21,8 @@ from .model import Dataset, ParamVector, loss_values, loss_values_and_slopes
 from .objectives import (
     DensePlanStep,
     TransportKernel,
+    dense_plan_bytes,
     pairwise_distance_power,
-    plan_dtype,
     resolve_eps,
 )
 from .variational import KernelSpec, gram, holder_constant, median_bandwidth
@@ -33,12 +33,6 @@ OBJECTIVES = ("erm", "joint_cvar", "joint_pnorm", "marginal",
 PLAN_OBJECTIVES = ("marginal", "marginal_confounded", "bounded_holder")
 
 DENSE_PLAN_WARN_N = 20000
-
-# n x n arrays a plan objective's train holds at the plan dtype (the plan, the
-# spare plan buffer and the folded penalty), and float64 ones alive at once
-# while the distances are built
-PLAN_ARRAYS = 3
-DISTANCE_BUILD_ARRAYS = 2
 
 # the joint objectives reset eta to its exact minimizer every this many steps
 ETA_REFRESH = 10
@@ -158,12 +152,9 @@ class ObjectiveFunction:
             g_w[:-1] += 2.0 * self.ridge * w[:-1]
         return value, g_w, g_eta, plan_vec, g_beta
 
-    def plan_step(self, plan: np.ndarray, plan_vec, step: float,
-                  out: np.ndarray | None = None):
-        """Projected plan update ``max(plan - step n^2 g_plan, 0)`` for the
-        gradient of ``plan_vec``, into ``out`` (default: in place); returns
-        the array holding the new plan."""
-        return self.transport.plan_step(plan, plan_vec, step, out)
+    def plan_step(self, plan: np.ndarray, plan_vec, step: float, keep=None):
+        """The transport's ``plan_step`` for the gradient of ``plan_vec``."""
+        return self.transport.plan_step(plan, plan_vec, step, keep)
 
     # loss-space kernels: (losses, eta, plan, beta) -> (value, v, s, extra)
 
@@ -220,8 +211,9 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
 
     The trace holds the running-best objective value per iteration, hence is
     nonincreasing.  Identical inputs give bitwise-identical traces.  A plan
-    objective keeps two plan buffers and steps outside the one holding the
-    best iterate, so the best plan is never copied.
+    objective holds one plan reference: the step (``fn.transport``) makes
+    the zero plan and passes the best iterate as ``keep``, so the step
+    writes around it and the best plan is never copied.
     """
     if opt.objective in PLAN_OBJECTIVES and dataset.n > DENSE_PLAN_WARN_N:
         nbytes = dense_plan_bytes(dataset.n)
@@ -239,8 +231,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     if fn.uses_eta:
         eta = cvar_dual(fn.losses(w), spec.alpha0)[1]
     if fn.uses_plan:
-        plan = np.zeros((n, n), dtype=fn.transport.dtype)
-        spare = np.empty_like(plan)
+        plan = fn.transport.zeros()
     if fn.uses_beta:
         beta = np.zeros(n)
 
@@ -271,19 +262,13 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
         if fn.uses_eta:
             eta = float(np.clip(eta - step * g_eta, 0.0, _eta_bound(spec, fn.last_losses)))
         if fn.uses_plan:
-            plan, spare = _step_outside_best(fn.plan_step, plan, spare, best_plan,
-                                             plan_vec, step)
+            plan = fn.plan_step(plan, plan_vec, step, keep=best_plan)
         if fn.uses_beta:
             beta = beta - step * n * g_beta
 
     best_w, best_eta, best_beta = best
     return TrainResult(ParamVector(best_w[:-1], best_w[-1]), best_value,
                        np.asarray(trace), eta=best_eta, plan=best_plan, beta=best_beta)
-
-
-def dense_plan_bytes(n: int) -> int:
-    """Bytes of the n x n arrays ``train`` allocates for a plan objective."""
-    return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + DISTANCE_BUILD_ARRAYS * 8)
 
 
 def optimal_eta_exact(losses, alpha0: float, p: float) -> float:
@@ -300,8 +285,10 @@ def _eta_bound(spec: RobustSpec, losses) -> float:
 
 
 def check_p(objective: str, spec: RobustSpec):
-    """Raise ValueError at p = 1 for the objectives whose dual divides by p - 1."""
-    if spec.p <= 1.0 and objective in ("joint_pnorm", "marginal", "marginal_confounded"):
+    """Raise ValueError at p = 1 for the objectives whose dual divides by p - 1,
+    and for bounded_holder, whose cost ||x_i - x_j||^(p-1) is 1 for every
+    pair there (the diagonal too), so that L/eps would have no effect."""
+    if spec.p <= 1.0 and objective in ("joint_pnorm", *PLAN_OBJECTIVES):
         raise ValueError(f"{objective} needs p > 1, got p = {spec.p:g}; "
                          "use joint_cvar for p = 1")
 
@@ -343,28 +330,16 @@ def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int
                          step0: float, eta_bound: float | None = None):
     """Projected subgradient descent on the plan at fixed losses, and on eta
     too unless ``eta_bound`` is None; returns the best (value, eta, plan)."""
-    n = losses.size
-    plan = np.zeros((n, n), dtype=kernel.dtype)
-    spare = np.empty_like(plan)
+    plan = kernel.zeros()
     best_value, best_eta, best_plan = np.inf, eta, plan
     for t in range(iters):
         value, wt, vec = kernel.evaluate(losses, eta, plan)
         if value < best_value:
             best_value, best_eta, best_plan = value, eta, plan
         step = step0 / np.sqrt(t + 1.0)
-        plan, spare = _step_outside_best(kernel.plan_step, plan, spare, best_plan,
-                                         vec, step)
+        plan = kernel.plan_step(plan, vec, step, keep=best_plan)
         if eta_bound is not None:
             g_eta = 1.0 - wt.sum() / kernel.alpha0
             eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
     return best_value, best_eta, best_plan
 
-
-def _step_outside_best(plan_step, plan, spare, best_plan, vec, step):
-    """Take one plan step without overwriting the best iterate's buffer.
-
-    Steps in place unless ``plan`` is the best plan, then into ``spare``;
-    returns the (plan, spare) buffers after the step.
-    """
-    new = plan_step(plan, vec, step, spare if plan is best_plan else plan)
-    return (plan, spare) if new is plan else (new, plan)

@@ -11,6 +11,7 @@ cannot take (``optim.check_p``) is raised before the first grid point.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -48,38 +49,43 @@ def replicate_score(result: TrainResult, holdout: Dataset, kind: str,
 def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
                    opt: OptimizerConfig, grid, holdout: Dataset,
                    score_alpha0: float | None = None, jobs: int = 1) -> CVResult:
-    """Train one model per lipschitz_ratio in ``grid`` and keep the best scorer."""
+    """Train one model per lipschitz_ratio in ``grid`` and keep the best scorer.
+
+    Each grid point is scored as it finishes, and its ``TrainResult`` (n x n
+    plan included) is kept only while it is the best so far."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     check_p(opt.objective, spec)  # a spec error, not one grid point's failure
     score_alpha0 = spec.alpha0 if score_alpha0 is None else float(score_alpha0)
+    entries: list[CVEntry] = [None] * len(grid)
+    best = None  # (score, grid index, result)
+    lock = threading.Lock()
 
-    def run(ratio: float) -> CVEntry | tuple[CVEntry, TrainResult]:
+    def run(i: int):
+        nonlocal best
+        ratio = grid[i]
         try:
             result = train(dataset, kind, replace(spec, lipschitz_ratio=ratio), opt)
             score = replicate_score(result, holdout, kind, score_alpha0)
             if not np.isfinite(score):
                 raise ValueError(f"non-finite score {score}")
-            return CVEntry(ratio, float(score)), result
         except (ValueError, ArithmeticError, DivergenceError) as err:  # numeric: record
-            return CVEntry(ratio, np.nan, error=str(err)), None
+            entries[i] = CVEntry(ratio, np.nan, error=str(err))
+            return
+        entries[i] = entry = CVEntry(ratio, float(score))
+        with lock:
+            # the grid is ascending, so the lower index keeps the smaller ratio on ties
+            if best is None or (entry.score, i) < best[:2]:
+                best = (entry.score, i, result)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, grid))
+            list(pool.map(run, range(len(grid))))
     else:
-        outcomes = [run(g) for g in grid]
+        list(map(run, range(len(grid))))
 
-    entries = [entry for entry, _ in outcomes]
-    best = None
-    for (entry, result) in outcomes:
-        if entry.error is not None:
-            continue
-        # strict < keeps the smaller ratio on ties (grid is ascending)
-        if best is None or entry.score < best[0].score:
-            best = (entry, result)
     if best is None:
         raise RuntimeError("every grid point failed: "
                            + "; ".join(f"{e.lipschitz_ratio:g}: {e.error}" for e in entries))
-    return CVResult(entries, best[0].lipschitz_ratio, best[1])
+    return CVResult(entries, grid[best[1]], best[2])

@@ -292,6 +292,27 @@ def test_flag_the_command_would_ignore_is_rejected(workdir, capsys, command, fla
     assert not out.exists()
 
 
+def test_seed_is_rejected_where_nothing_is_drawn(workdir, capsys):
+    """train always reads its CSV and eval --in-csv draws nothing: --seed is an error."""
+    csv = str(workdir / "lin.csv")
+    write_line_csv(csv)
+    (workdir / "m.txt").write_text("0.5\n0.0\n")
+    out = workdir / "out.csv"
+    assert main(["train", "--in-csv", csv, "--seed", "1",
+                 "--out-model", str(workdir / "model.txt")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (workdir / "model.txt").exists()
+    assert main(["eval", "--model", str(workdir / "m.txt"), "--in-csv", csv, "--seed", "1",
+                 "--out-csv", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    # a config seed is a default, skipped by the command that has no --seed
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("seed=9\n")
+    assert main(["train", "--in-csv", csv, "--config", str(cfg), "--iters", "5",
+                 "--out-model", str(workdir / "model.txt")]) == 0
+
+
 def test_config_values_are_defaults_not_flags(workdir, capsys):
     """A config value for a flag the command ignores passes, like the default."""
     write_line_csv(workdir / "lin.csv")
@@ -323,7 +344,9 @@ def test_bad_ratio_list_names_its_flag(capsys):
 @pytest.mark.parametrize("command", [["train", "--objective", "marginal"],
                                      ["train", "--objective", "marginal_confounded"],
                                      ["train", "--objective", "joint_pnorm"],
-                                     ["cv", "--objective", "marginal"]])
+                                     ["cv", "--objective", "marginal"],
+                                     ["train", "--objective", "bounded_holder"],
+                                     ["cv", "--objective", "bounded_holder"]])
 def test_p1_is_a_usage_error(workdir, capsys, command):
     write_line_csv(workdir / "lin.csv")
     argv = [*command, "--in-csv", str(workdir / "lin.csv"), "--p", "1"]

@@ -89,7 +89,7 @@ def _kernel_and_plan(n, seed=0):
 def test_fused_plan_statistics_match_fresh_pass(n):
     """plan_step's statistics are those of a fresh pass over the plan it wrote."""
     kernel, plan, vec = _kernel_and_plan(n)
-    new = kernel.plan_step(plan, vec, 0.3, out=np.empty_like(plan))
+    new = kernel.plan_step(plan, vec, 0.3, keep=plan)
     c, penalty = kernel.statistics(new)
     fresh_c, fresh_penalty = DensePlanStep(kernel.pen_dist).statistics(new)
     assert c.dtype == np.float64
@@ -99,7 +99,7 @@ def test_fused_plan_statistics_match_fresh_pass(n):
     expected = (new.sum(axis=1, dtype=np.float64) - new.sum(axis=0, dtype=np.float64)) / n
     assert np.array_equal(c, expected)
     # a step with a vanishing gradient leaves the plan and its statistics alone
-    assert kernel.plan_step(new, None, 0.3, out=plan) is new
+    assert kernel.plan_step(new, None, 0.3, keep=new) is new
     assert kernel.statistics(new)[0] is c
 
 
@@ -136,9 +136,26 @@ def test_fused_plan_step_entries_match_materialized_formula():
     u = (scale * vec).astype(np.float32)
     expected = np.maximum(((plan + u[:, None]) - u[None, :])
                           - kernel.pen_dist * np.float32(scale), 0.0)
-    new = kernel.plan_step(plan, vec, step, out=np.empty_like(plan))
+    new = kernel.plan_step(plan, vec, step, keep=plan)
     assert new.dtype == expected.dtype == np.float32
     assert np.array_equal(new, expected)
+
+
+def test_plan_step_writes_around_the_kept_plan():
+    """A step from the kept plan goes to the step's spare buffer; others are in place."""
+    kernel, plan, vec = _kernel_and_plan(300, seed=3)
+    before = plan.copy()
+    new = kernel.plan_step(plan, vec, 0.3, keep=plan)
+    assert new is not plan and new.dtype == plan.dtype
+    assert np.array_equal(plan, before)
+    # the old plan becomes the spare: stepping the new plan while it is kept
+    # writes there, and an unkept plan is stepped in place
+    assert kernel.plan_step(new, vec, 0.3, keep=new) is plan
+    assert kernel.plan_step(plan, vec, 0.3, keep=new) is plan
+    assert kernel.plan_step(plan, vec, 0.3) is plan
+    assert not np.array_equal(plan, before)
+    zero = kernel.zeros()
+    assert zero.shape == plan.shape and zero.dtype == kernel.dtype and not zero.any()
 
 
 def test_plan_adjustments_sum_to_zero():

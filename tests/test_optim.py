@@ -137,9 +137,11 @@ def test_optimizer_config_validation():
         OptimizerConfig(step0=0.0)
 
 
-@pytest.mark.parametrize("objective", ["joint_pnorm", "marginal", "marginal_confounded"])
+@pytest.mark.parametrize("objective", ["joint_pnorm", "marginal", "marginal_confounded",
+                                       "bounded_holder"])
 def test_p1_rejected_before_distances(monkeypatch, objective):
-    """The objectives whose dual divides by p - 1 refuse p = 1 up front."""
+    """The objectives whose dual divides by p - 1 refuse p = 1 up front, and so
+    does bounded_holder, whose cost ||x_i - x_j||^0 = 1 ignores L/eps."""
     def no_distances(*args):
         raise AssertionError("distance matrix built")
 
@@ -148,7 +150,7 @@ def test_p1_rejected_before_distances(monkeypatch, objective):
     spec = RobustSpec(alpha0=0.2, p=1.0, eps=1.0)
     with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
         train(ds, "absolute_deviation", spec, OptimizerConfig(objective=objective, max_iters=2))
-    if objective != "joint_pnorm":
+    if objective in ("marginal", "marginal_confounded"):
         confounded = objective == "marginal_confounded"
         losses, dist = np.arange(4.0), np.ones((4, 4))
         with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
@@ -256,6 +258,21 @@ def test_train_bitwise_independent_of_worker_count(monkeypatch):
             assert np.array_equal(one.params.theta, two.params.theta)
             assert one.params.intercept == two.params.intercept and one.eta == two.eta
             assert one.plan.dtype == two.plan.dtype and np.array_equal(one.plan, two.plan)
+
+
+def test_value_grad_reads_an_edited_plan_afresh():
+    """A plan the caller passes in is not cached: editing it moves the value."""
+    ds = generate(SimSpec(n=40, d=2, variant="confounded", seed=2))
+    w = np.array([0.3, -0.2, 0.1])
+    plan = np.abs(np.random.default_rng(5).normal(size=(40, 40))) * 0.2
+    for objective in PLAN_OBJECTIVES:
+        spec = RobustSpec(alpha0=0.4, p=2.0, lipschitz_ratio=1.5, eps=0.05, delta=0.3)
+        fn = ObjectiveFunction(ds, "absolute_deviation", spec, objective)
+        edited = plan.copy()
+        fn.value_grad(w, 0.2, edited)
+        edited *= 3.0
+        fresh = ObjectiveFunction(ds, "absolute_deviation", spec, objective)
+        assert fn.value_grad(w, 0.2, edited)[0] == fresh.value_grad(w, 0.2, edited)[0]
 
 
 def test_returned_plan_is_the_best_iterate():

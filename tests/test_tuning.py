@@ -1,7 +1,12 @@
+import gc
+import time
+import weakref
+
 import numpy as np
 import pytest
 
 import marginaldro.optim as optim
+import marginaldro.tuning as tuning
 from marginaldro.datagen import SimSpec, generate, generate_replicates
 from marginaldro.duals import RobustSpec
 from marginaldro.model import Dataset
@@ -92,3 +97,40 @@ def test_bug_inside_train_propagates(monkeypatch):
         with pytest.raises(TypeError, match="not a numeric failure"):
             cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout,
                            jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_only_the_best_finished_result_is_held(monkeypatch, jobs):
+    """While grid point k trains, at most one earlier TrainResult is alive."""
+    real_train, results, alive_at_start = tuning.train, [], []
+
+    def probed_train(dataset, kind, spec, opt):
+        k = len(alive_at_start)
+        gc.collect()
+        alive_at_start.append(sum(ref() is not None for ref in results))
+        time.sleep(0.1 * k)  # grid points finish one at a time, in grid order
+        result = real_train(dataset, kind, spec, opt)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(tuning, "train", probed_train)
+    ds, holdout = setup_data(seed=8, n=60)
+    opt = OptimizerConfig(objective="marginal", max_iters=10, fit_intercept=False)
+    result = cross_validate(ds, "absolute_deviation", SPEC, opt, [0.1, 1.0, 10.0, 100.0],
+                            holdout, jobs=jobs)
+    assert len(alive_at_start) == 4 and max(alive_at_start) <= 1
+    gc.collect()
+    assert [ref() for ref in results if ref() is not None] == [result.best_result]
+
+
+def test_p1_bounded_holder_rejected_before_training(monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a grid point was trained")
+
+    monkeypatch.setattr(tuning, "train", no_training)
+    ds, holdout = setup_data(seed=9, n=40)
+    opt = OptimizerConfig(objective="bounded_holder", max_iters=5)
+    with pytest.raises(ValueError, match="bounded_holder needs p > 1"):
+        cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=1.0), opt,
+                       [1.0, 10.0], holdout)
+
