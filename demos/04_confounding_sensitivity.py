@@ -33,9 +33,8 @@ holdout = generate_replicates(SimSpec(n=2000, d=2, variant="confounded", seed=13
 models = {}
 for delta in (0.0, 0.02, 0.05, 0.2):
     spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=delta)
-    objective = "marginal" if delta == 0.0 else "marginal_confounded"
     models[delta] = train(ds, "absolute_deviation", spec,
-                          OptimizerConfig(objective=objective, max_iters=300,
+                          OptimizerConfig(objective="marginal", max_iters=300,
                                           step0=0.5, fit_intercept=False))
 
 header = "".join(f"  c={c:+.1f}" for c in CONFOUNDER_SUPPORT)

@@ -19,7 +19,6 @@ from .evaluation import (
 from .model import Dataset, ParamVector, loss_subgradient, loss_value
 from .objectives import (
     DualState,
-    confounded_objective,
     marginal_objective,
     pairwise_distance_power,
     primal_inner_sup,
@@ -50,7 +49,6 @@ __all__ = [
     "TrainResult",
     "bounded_holder_objective",
     "conditional_risk_oracle",
-    "confounded_objective",
     "cross_validate",
     "cvar_dual",
     "eval_group_split",

@@ -336,6 +336,9 @@ def _float_list(text, flag):
 
 def _robust_spec(args):
     """The training flags' RobustSpec at the first --lipschitz-ratio, and the list."""
+    if args.objective not in ("marginal", "marginal_confounded"):
+        _reject_given(args, ("--delta",), f"has no effect on {args.objective}: only "
+                      "marginal carries the confounding penalty")
     ratios = _float_list(args.lipschitz_ratio, "--lipschitz-ratio")
     spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=ratios[0],
                       eps=args.eps, delta=args.delta)
@@ -537,8 +540,8 @@ def _repro_confounded(seed):
     # postulated confounding levels on an interpretable scale
     for delta in (0.0, 0.02, 0.05, 0.2):
         spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=delta)
-        opt = OptimizerConfig(objective="marginal" if delta == 0.0 else "marginal_confounded",
-                              max_iters=300, step0=0.5, fit_intercept=False)
+        opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
+                              fit_intercept=False)
         models[f"marginal_delta{delta:g}"] = train(ds, "absolute_deviation", spec, opt).params
     models.update(_baselines(ds, 0.1))
     rows = [(name, float(c), eval_replicates(params, holdout, "absolute_deviation", [0.05],

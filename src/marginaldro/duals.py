@@ -26,10 +26,10 @@ class RobustSpec:
         Postulated lower bound on the subpopulation proportion.
     p : float in [1, 2]
         Dual exponent of the moment bound.  p = 1 is the CVaR dual
-        (``joint_cvar``); ``joint_pnorm``, ``marginal``,
-        ``marginal_confounded`` and the plan minimizers divide by p - 1, and
-        ``bounded_holder``'s cost ||x_i - x_j||^(p-1) is 1 for every pair
-        there, so all of them raise ValueError at p = 1 (``optim.check_p``).
+        (``joint_cvar``); ``joint_pnorm``, ``marginal`` and the plan
+        minimizers divide by p - 1, and ``bounded_holder``'s cost
+        ||x_i - x_j||^(p-1) is 1 for every pair there, so all of them raise
+        ValueError at p = 1 (``optim.check_p``).
     lipschitz_ratio : float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
         penalty.
@@ -38,7 +38,11 @@ class RobustSpec:
         the floor and through L**(p-1)/eps in the penalty.  When left unset
         it is resolved from data, see ``objectives.resolve_eps``.
     delta : float >= 0
-        Postulated confounding level (0 means unconfounded).
+        Postulated confounding level, the one switch of the confounded
+        objective: ``marginal`` (and its other name ``marginal_confounded``)
+        adds the entrywise plan penalty 2 delta**(p-1)/eps * sum |B_ij| / n**2
+        when delta > 0, and delta = 0 is the unconfounded objective.  The
+        other objectives have no such penalty; the CLI rejects --delta there.
     loss_bound : float > 0, optional
         Bound M on the losses; defaults to the max observed loss where one
         is needed.

@@ -8,9 +8,11 @@ The core quantity is the dual objective
 with nonnegative transport-plan variables B and per-example adjustments
 c_i = (1/n) sum_j (B_ij - B_ji); ``B_ij`` moves loss from example i to j at a
 distance-dependent cost.  The training surrogate wraps it as
-(1/alpha0) * max(objective, eps^(q-1)) + eta.  A confounded variant adds an
-entrywise penalty 2 delta^(p-1) / (eps n^2) * sum |B_ij| that interpolates
-toward the joint-DRO solution (B = 0) as delta grows.
+(1/alpha0) * max(objective, eps^(q-1)) + eta.  A postulated confounding
+level ``spec.delta`` > 0 adds the entrywise penalty
+2 delta^(p-1) / (eps n^2) * sum |B_ij|, which interpolates toward the
+joint-DRO solution (B = 0) as delta grows; delta = 0 is the unconfounded
+objective.
 
 ``TransportKernel`` is the one implementation the solvers use: surrogate
 value, hinge weights and the fused projected plan step.  The value-only
@@ -156,32 +158,25 @@ def resolve_eps(spec: RobustSpec, losses) -> RobustSpec:
 
 
 def marginal_objective(losses, dist, eta: float, plan, spec: RobustSpec) -> float:
-    """Value of the transport-smoothed dual objective at (eta, B)."""
+    """Value of the transport-smoothed dual objective at (eta, B), with the
+    confounding penalty on |B| when ``spec.delta`` > 0."""
     losses, plan, dist = _check_inputs(losses, plan, dist)
+    n = losses.size
     c = plan_adjustments(plan)
     block = _hinge_block(losses - c - eta, spec.p)
-    pen = penalty_coefficient(spec) * float(np.vdot(dist, plan)) / losses.size**2
-    return block + pen
+    value = block + penalty_coefficient(spec) * float(np.vdot(dist, plan)) / n**2
+    if spec.delta > 0.0:
+        value += confounding_coefficient(spec) * float(plan.sum()) / n**2
+    return value
 
 
-def confounded_objective(losses, dist, eta: float, plan, spec: RobustSpec) -> float:
-    """Marginal objective plus the confounding penalty on |B|."""
-    value = marginal_objective(losses, dist, eta, plan, spec)
-    if spec.delta == 0.0:
-        return value
-    plan = np.asarray(plan, dtype=float)
-    n = plan.shape[0]
-    return value + confounding_coefficient(spec) * float(plan.sum()) / n**2
-
-
-def robust_surrogate(state: DualState, dataset, kind: str, spec: RobustSpec,
-                     confounded: bool = False) -> float:
-    """Training surrogate (1/alpha0) * max(objective, eps^(q-1)) + eta."""
+def robust_surrogate(state: DualState, dataset, kind: str, spec: RobustSpec) -> float:
+    """Training surrogate (1/alpha0) * max(objective, eps^(q-1)) + eta of
+    ``marginal_objective``, confounding penalty included when delta > 0."""
     losses = loss_values(kind, state.params, dataset.features, dataset.labels)
     dist = pairwise_distance_power(dataset.features, spec.p)
     spec = resolve_eps(spec, losses)
-    fn = confounded_objective if confounded else marginal_objective
-    value = fn(losses, dist, state.eta, state.plan, spec)
+    value = marginal_objective(losses, dist, state.eta, state.plan, spec)
     return max(value, floor_value(spec)) / spec.alpha0 + state.eta
 
 
@@ -277,9 +272,9 @@ class DensePlanStep:
 class TransportKernel(DensePlanStep):
     """The floored transport surrogate at fixed distances, as solvers evaluate it.
 
-    ``pen_dist`` folds the penalty coefficient, the confounding constant and
-    1/alpha0: (pen_coef dist + conf_coef) / (n^2 alpha0).  The surrogate is
-    then (1/alpha0) max(core, floor) + eta with
+    ``pen_dist`` folds the penalty coefficient, the confounding constant (0
+    at ``spec.delta`` = 0) and 1/alpha0: (pen_coef dist + conf_coef) /
+    (n^2 alpha0).  The surrogate is then (1/alpha0) max(core, floor) + eta with
     core = S(h) + alpha0 <pen_dist, B>, where S is the hinge block of
     h = (l - c - eta)_+; it equals ``robust_surrogate`` up to rounding.
     c and <pen_dist, B> come from ``statistics``, so a plan the last step
@@ -287,11 +282,10 @@ class TransportKernel(DensePlanStep):
     place makes no n x n temporary.
     """
 
-    def __init__(self, dist: np.ndarray, spec: RobustSpec, confounded: bool = False):
+    def __init__(self, dist: np.ndarray, spec: RobustSpec):
         n = dist.shape[0]
-        conf_coef = confounding_coefficient(spec) if confounded else 0.0
         dist *= penalty_coefficient(spec)
-        dist += conf_coef
+        dist += confounding_coefficient(spec)
         dist /= n * n * spec.alpha0
         super().__init__(dist)
         self.alpha0 = spec.alpha0

@@ -27,6 +27,8 @@ from .objectives import (
 )
 from .variational import KernelSpec, gram, holder_constant, median_bandwidth
 
+# "marginal_confounded" is another name for "marginal": spec.delta alone sets
+# the confounding penalty
 OBJECTIVES = ("erm", "joint_cvar", "joint_pnorm", "marginal",
               "marginal_confounded", "rkhs", "bounded_holder")
 # the objectives that carry a dense n x n transport plan
@@ -115,8 +117,7 @@ class ObjectiveFunction:
                 dist /= n * n
                 self.transport = DensePlanStep(dist)
             else:
-                self.transport = TransportKernel(dist, spec,
-                                                 objective == "marginal_confounded")
+                self.transport = TransportKernel(dist, spec)
         if self.uses_beta:
             if kernel is None:
                 kernel = KernelSpec(bandwidth=median_bandwidth(dataset.features))
@@ -294,32 +295,33 @@ def check_p(objective: str, spec: RobustSpec):
 
 
 def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
-                  step0: float = 0.2, confounded: bool = False):
-    """Infimum of the transport objective over plans at fixed losses and eta.
+                  step0: float = 0.2):
+    """Infimum of ``marginal_objective`` over plans at fixed losses and eta.
 
     The frozen-loss descent with eta fixed, alpha0 = 1 and no floor, so the
-    surrogate is the bare objective plus eta; returns (best value, best plan).
+    surrogate is the bare objective plus eta; the confounding penalty is
+    included when ``spec.delta`` > 0.  Returns (best value, best plan).
     """
-    check_p("marginal_confounded" if confounded else "marginal", spec)
+    check_p("marginal", spec)
     losses = np.asarray(losses, dtype=float).ravel()
     spec = replace(resolve_eps(spec, losses), alpha0=1.0)
-    kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)
+    kernel = TransportKernel(np.array(dist, dtype=float), spec)
     kernel.floor = 0.0
     value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0)
     return float(value - eta), plan
 
 
 def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
-                      step0: float = 0.2, confounded: bool = False):
+                      step0: float = 0.2):
     """Infimum of the floored surrogate over (eta, plan) at fixed losses.
 
     Returns (best value, best eta, best plan) of
     (1/alpha0) max(objective, eps^(q-1)) + eta.
     """
-    check_p("marginal_confounded" if confounded else "marginal", spec)
+    check_p("marginal", spec)
     losses = np.asarray(losses, dtype=float).ravel()
     spec = resolve_eps(spec, losses)
-    kernel = TransportKernel(np.array(dist, dtype=float), spec, confounded)
+    kernel = TransportKernel(np.array(dist, dtype=float), spec)
     eta = cvar_dual(losses, spec.alpha0)[1]
     value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0,
                                             eta_bound=_eta_bound(spec, losses))

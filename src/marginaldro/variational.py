@@ -25,11 +25,8 @@ class KernelSpec:
 
     bandwidth: float
     radius: float = 1.0
-    kind: str = "gaussian"
 
     def __post_init__(self):
-        if self.kind != "gaussian":
-            raise ValueError(f"only the gaussian kernel is supported, got {self.kind!r}")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive and finite")
         if not (np.isfinite(self.radius) and self.radius > 0):

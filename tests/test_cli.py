@@ -273,6 +273,7 @@ IGNORED_FLAG_CASES = [
     (["cv", "--in-csv", "lin.csv"], "--d", "2"),
     (["cv", "--in-csv", "lin.csv"], "--alpha-true", "0.3"),
     (["cv", "--variant", "simdist"], "--holdout-frac", "0.3"),
+    (["cv", "--in-csv", "lin.csv", "--objective", "bounded_holder"], "--delta", "0.5"),
 ]
 
 
@@ -311,6 +312,37 @@ def test_seed_is_rejected_where_nothing_is_drawn(workdir, capsys):
     cfg.write_text("seed=9\n")
     assert main(["train", "--in-csv", csv, "--config", str(cfg), "--iters", "5",
                  "--out-model", str(workdir / "model.txt")]) == 0
+
+
+@pytest.mark.parametrize("objective", ["erm", "joint_cvar", "joint_pnorm", "rkhs",
+                                       "bounded_holder"])
+def test_delta_without_a_confounding_penalty_is_rejected(workdir, capsys, objective):
+    csv, model = str(workdir / "lin.csv"), workdir / "m.txt"
+    write_line_csv(csv)
+    argv = ["train", "--in-csv", csv, "--objective", objective, "--iters", "5",
+            "--out-model", str(model)]
+    assert main([*argv, "--delta", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --delta") and objective in err
+    assert not model.exists()
+    # a config-file delta is a default, which such an objective ignores
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("delta=5\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+
+
+def test_marginal_trains_the_delta_it_is_given(workdir):
+    csv = str(workdir / "conf.csv")
+    assert main(["gen", "--variant", "confounded", "--d", "2", "--n", "60", "--seed", "3",
+                 "--out-csv", csv]) == 0
+    models = {}
+    for delta in ("0", "5"):
+        out = workdir / f"m{delta}.txt"
+        assert main(["train", "--in-csv", csv, "--objective", "marginal", "--eps", "0.05",
+                     "--lipschitz-ratio", "0.1", "--delta", delta, "--iters", "40",
+                     "--no-intercept", "--out-model", str(out)]) == 0
+        models[delta] = out.read_text()
+    assert models["0"] != models["5"]
 
 
 def test_config_values_are_defaults_not_flags(workdir, capsys):

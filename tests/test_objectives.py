@@ -1,5 +1,6 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from marginaldro.objectives import (
     DensePlanStep,
     DualState,
     TransportKernel,
-    confounded_objective,
     floor_value,
     marginal_objective,
     pairwise_distance_power,
@@ -79,7 +79,7 @@ def _kernel_and_plan(n, seed=0):
     rng = np.random.default_rng(seed)
     dist = pairwise_distance_power(rng.normal(size=(n, 2)), 2.0)
     kernel = TransportKernel(dist, RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0,
-                                              eps=0.1, delta=0.05), confounded=True)
+                                              eps=0.1, delta=0.05))
     plan = np.maximum(rng.normal(size=(n, n)), 0.0).astype(kernel.dtype)
     vec = rng.normal(size=n) / (n * n)
     return kernel, plan, vec
@@ -198,15 +198,15 @@ def test_subgradient_rejects_zero_one_loss():
 
 
 def test_confounded_objective():
-    value = confounded_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.0,
-                                 TWO_POINT["plan"], spec2(delta=1.0))
+    value = marginal_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.0,
+                               TWO_POINT["plan"], spec2(delta=1.0))
     assert value == pytest.approx(2.5)
-    # delta = 0 reduces to the marginal objective
-    assert confounded_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.0,
-                                TWO_POINT["plan"], spec2()) == pytest.approx(1.5)
+    # delta = 0 is the unconfounded objective
+    assert marginal_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.0,
+                              TWO_POINT["plan"], spec2()) == pytest.approx(1.5)
     # B = 0 kills the extra term
-    v0 = confounded_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.3,
-                              np.zeros((2, 2)), spec2(delta=5.0))
+    v0 = marginal_objective(TWO_POINT["losses"], TWO_POINT["dist"], 0.3,
+                            np.zeros((2, 2)), spec2(delta=5.0))
     assert v0 == pytest.approx(marginal_objective(TWO_POINT["losses"], TWO_POINT["dist"],
                                                   0.3, np.zeros((2, 2)), spec2()))
 
@@ -248,7 +248,7 @@ def test_subgradient_hinge_inactive():
 
 def test_subgradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-    spec = RobustSpec(alpha0=0.4, p=2.0, lipschitz_ratio=1.5, eps=0.05, delta=0.3)
+    confounded = RobustSpec(alpha0=0.4, p=2.0, lipschitz_ratio=1.5, eps=0.05, delta=0.3)
     checked = 0
     while checked < 30:
         n, d = int(rng.integers(2, 6)), 2
@@ -256,15 +256,14 @@ def test_subgradient_matches_finite_differences():
         state = DualState(ParamVector(rng.normal(size=d) * 0.5, rng.normal() * 0.2),
                           eta=float(rng.uniform(0, 0.5)),
                           plan=np.abs(rng.normal(size=(n, n))) * 0.3)
-        for confounded in (False, True):
-            fn = ObjectiveFunction(ds, "absolute_deviation", spec,
-                                   "marginal_confounded" if confounded else "marginal")
+        for spec in (replace(confounded, delta=0.0), confounded):
+            fn = ObjectiveFunction(ds, "absolute_deviation", spec, "marginal")
             w = np.append(state.params.theta, state.params.intercept)
             _, g_theta, g_eta, plan_vec, _ = fn.value_grad(w, state.eta, state.plan)
             g_plan = fn.transport.plan_grad(plan_vec)
 
             def val(st):
-                return robust_surrogate(st, ds, "absolute_deviation", spec, confounded)
+                return robust_surrogate(st, ds, "absolute_deviation", spec)
 
             h = 1e-6
             ok = True
@@ -381,7 +380,7 @@ def test_confounding_monotone_in_delta():
     values = []
     for delta in (0.0, 0.05, 0.5, 50.0):
         spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=1.0, eps=0.5, delta=delta)
-        val, plan = minimize_plan(losses, dist, eta, spec, iters=4000, confounded=True)
+        val, plan = minimize_plan(losses, dist, eta, spec, iters=4000)
         values.append(val)
     assert all(values[i] <= values[i + 1] + 1e-6 for i in range(len(values) - 1))
     # delta = 0 coincides with the unconfounded infimum
@@ -391,6 +390,20 @@ def test_confounding_monotone_in_delta():
     # huge delta forces the plan to zero: value matches B = 0
     at_zero = marginal_objective(losses, dist, eta, np.zeros((n, n)), spec0)
     assert values[-1] == pytest.approx(at_zero, abs=1e-6)
+
+
+def test_minimize_plan_value_includes_the_confounding_penalty():
+    rng = np.random.default_rng(3)
+    n, eta = 12, 0.2
+    losses = rng.uniform(0, 2, n)
+    dist = pairwise_distance_power(rng.uniform(-1, 1, (n, 2)), 1.5)
+    spec = RobustSpec(alpha0=0.2, p=1.5, lipschitz_ratio=0.1, eps=0.1, delta=1e-4)
+    val, plan = minimize_plan(losses, dist, eta, spec, iters=300)
+    assert plan.sum() > 0
+    assert val == pytest.approx(marginal_objective(losses, dist, eta, plan, spec), rel=1e-12)
+    penalty = 2.0 * spec.delta ** (spec.p - 1.0) / spec.eps * plan.sum() / n**2
+    unconfounded = marginal_objective(losses, dist, eta, plan, replace(spec, delta=0.0))
+    assert val - unconfounded == pytest.approx(penalty, rel=1e-9)
 
 
 def test_resolve_eps_default_policy():

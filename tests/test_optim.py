@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,15 +151,34 @@ def test_p1_rejected_before_distances(monkeypatch, objective):
     spec = RobustSpec(alpha0=0.2, p=1.0, eps=1.0)
     with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
         train(ds, "absolute_deviation", spec, OptimizerConfig(objective=objective, max_iters=2))
-    if objective in ("marginal", "marginal_confounded"):
-        confounded = objective == "marginal_confounded"
+    if objective == "marginal":
         losses, dist = np.arange(4.0), np.ones((4, 4))
-        with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
-            optim.minimize_plan(losses, dist, 0.0, spec, iters=2, confounded=confounded)
-        with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
-            optim.minimize_eta_plan(losses, dist, spec, iters=2, confounded=confounded)
+        for minimizer_spec in (spec, replace(spec, delta=0.05)):
+            with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
+                optim.minimize_plan(losses, dist, 0.0, minimizer_spec, iters=2)
+            with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
+                optim.minimize_eta_plan(losses, dist, minimizer_spec, iters=2)
     # p = 1 is the joint CVaR objective, which still trains
     train(ds, "absolute_deviation", spec, OptimizerConfig(objective="joint_cvar", max_iters=2))
+
+
+def test_marginal_takes_its_confounding_from_delta():
+    """delta alone sets the penalty: marginal at delta > 0 is marginal_confounded."""
+    ds = generate(SimSpec(n=80, d=2, variant="confounded", seed=0))
+
+    def fit(objective, delta):
+        spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=delta)
+        return train(ds, "absolute_deviation", spec,
+                     OptimizerConfig(objective=objective, max_iters=40, step0=0.5,
+                                     fit_intercept=False))
+
+    confounded, alias, plain = (fit("marginal", 0.05), fit("marginal_confounded", 0.05),
+                                fit("marginal", 0.0))
+    for a, b in ((confounded.trace, alias.trace), (confounded.plan, alias.plan),
+                 (confounded.params.theta, alias.params.theta)):
+        assert np.array_equal(a, b)
+    assert confounded.eta == alias.eta
+    assert not np.array_equal(confounded.trace, plain.trace)
 
 
 def test_dense_plan_warning(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
-import time
+import itertools
+import threading
 import weakref
 
 import numpy as np
@@ -102,18 +103,30 @@ def test_bug_inside_train_propagates(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_only_the_best_finished_result_is_held(monkeypatch, jobs):
     """While grid point k trains, at most one earlier TrainResult is alive."""
-    real_train, results, alive_at_start = tuning.train, [], []
+    real_train, real_score = tuning.train, tuning.replicate_score
+    results, alive_at_start = [], []
+    starts, scores = itertools.count(), itertools.count()
+    scored = [threading.Event() for _ in range(4)]
 
     def probed_train(dataset, kind, spec, opt):
-        k = len(alive_at_start)
+        k = next(starts)
+        # grid points run one at a time: k starts once k - 1 is scored; the
+        # scoring thread then finishes k - 1 without blocking, so it holds
+        # the GIL until k - 1's result is dropped or kept as the best
+        assert k == 0 or scored[k - 1].wait(timeout=60)
         gc.collect()
         alive_at_start.append(sum(ref() is not None for ref in results))
-        time.sleep(0.1 * k)  # grid points finish one at a time, in grid order
         result = real_train(dataset, kind, spec, opt)
         results.append(weakref.ref(result))
         return result
 
+    def signalling_score(*args):
+        score = real_score(*args)
+        scored[next(scores)].set()  # points are scored in the order they start
+        return score
+
     monkeypatch.setattr(tuning, "train", probed_train)
+    monkeypatch.setattr(tuning, "replicate_score", signalling_score)
     ds, holdout = setup_data(seed=8, n=60)
     opt = OptimizerConfig(objective="marginal", max_iters=10, fit_intercept=False)
     result = cross_validate(ds, "absolute_deviation", SPEC, opt, [0.1, 1.0, 10.0, 100.0],

@@ -18,7 +18,7 @@ def test_kernel_spec_validation():
         KernelSpec(bandwidth=0.0)
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=1.0, radius=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         KernelSpec(bandwidth=1.0, kind="laplacian")
 
 
