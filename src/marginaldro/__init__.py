@@ -7,7 +7,7 @@ evaluation, synthetic benchmark generators, and hyperparameter
 cross-validation.
 """
 
-from .datagen import SimSpec, conditional_risk_oracle, generate, generate_replicates
+from .datagen import SimSpec, generate, generate_replicates
 from .duals import RobustSpec, cvar_dual, pnorm_dual, replicate_worst_case
 from .evaluation import (
     RiskReport,
@@ -16,7 +16,7 @@ from .evaluation import (
     eval_oracle,
     eval_replicates,
 )
-from .model import Dataset, ParamVector, loss_subgradient, loss_value
+from .model import Dataset, ParamVector
 from .objectives import (
     DualState,
     marginal_objective,
@@ -48,7 +48,6 @@ __all__ = [
     "SimSpec",
     "TrainResult",
     "bounded_holder_objective",
-    "conditional_risk_oracle",
     "cross_validate",
     "cvar_dual",
     "eval_group_split",
@@ -58,8 +57,6 @@ __all__ = [
     "generate",
     "generate_replicates",
     "gram",
-    "loss_subgradient",
-    "loss_value",
     "marginal_objective",
     "optimal_eta_exact",
     "pairwise_distance_power",

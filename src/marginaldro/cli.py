@@ -11,8 +11,10 @@ repro   run a scripted desk-scale experiment and emit plot-ready CSVs
 Every command is deterministic given its flags and config file; a command
 that draws takes --seed (environment variable DRO_SEED is the fallback).
 Rows come from --in-csv or a seeded --variant draw (``_dataset``); a flag
-the run would ignore is a usage error.  Exit codes: 0 on success, 1 on
-numeric failure, 2 on usage or I/O errors.
+the run would ignore is a usage error, among them each hyperparameter flag
+whose field the objective does not read (``optim.SPEC_FIELDS``).  Exit
+codes: 0 on success, 1 on numeric failure, 2 on usage or I/O errors and on
+a MemoryError raised before the n x n arrays are built.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT
 from .duals import RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
 from .model import Dataset, ParamVector
-from .optim import OBJECTIVES, PLAN_OBJECTIVES, OptimizerConfig, train
+from .optim import OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, OptimizerConfig, train
 from .tuning import cross_validate
 
 USAGE_EXIT = 2
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as err:
         return USAGE_EXIT if err.code not in (0, None) else 0
-    except (UsageError, OSError, ValueError) as err:
+    except (UsageError, OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except (RuntimeError, ArithmeticError) as err:  # DivergenceError is a RuntimeError
@@ -335,10 +337,13 @@ def _float_list(text, flag):
 
 
 def _robust_spec(args):
-    """The training flags' RobustSpec at the first --lipschitz-ratio, and the list."""
-    if args.objective not in ("marginal", "marginal_confounded"):
-        _reject_given(args, ("--delta",), f"has no effect on {args.objective}: only "
-                      "marginal carries the confounding penalty")
+    """The training flags' RobustSpec at the first --lipschitz-ratio, and the list.
+
+    Setting a field the objective does not read is a usage error."""
+    _reject_given(args, [f"--{field.replace('_', '-')}"
+                         for field in ("alpha0", "p", "lipschitz_ratio", "eps", "delta")
+                         if field not in SPEC_FIELDS[args.objective]],
+                  f"has no effect on {args.objective}")
     ratios = _float_list(args.lipschitz_ratio, "--lipschitz-ratio")
     spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=ratios[0],
                       eps=args.eps, delta=args.delta)

@@ -99,18 +99,13 @@ def generate_replicates(spec: SimSpec, m: int) -> Dataset:
     return Dataset(features, reps[:, 0], replicates=reps, group=z, confounder=conf)
 
 
-def conditional_risk_oracle(params: ParamVector, x, variant: str) -> float:
-    """Exact conditional absolute-deviation risk E[|theta'X - Y| given X = x].
-
-    Only the noisy variants are supported; the confounded variant has no
-    single conditional law (use replicate evaluation instead).
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    return float(conditional_risks(params, x[None, :], variant)[0])
-
-
 def conditional_risks(params: ParamVector, features, variant: str) -> np.ndarray:
-    """Vectorized ``conditional_risk_oracle`` over the rows of ``features``."""
+    """Exact conditional absolute-deviation risks E[|theta'X - Y| given X = x_i].
+
+    One per row of ``features``.  Only the noisy variants are supported; the
+    confounded variant has no single conditional law (use replicate
+    evaluation instead).
+    """
     if variant not in ("toy_1d", "simdist"):
         raise ValueError(
             f"conditional risk oracle supports toy_1d and simdist, got {variant!r}; "

@@ -1,4 +1,4 @@
-"""Data containers and pointwise losses with subgradients.
+"""Data containers and per-example losses with their subgradients.
 
 All losses are nonnegative.  Regression uses the absolute deviation loss,
 classification the binary logistic loss with labels in {-1, +1}; the 0-1
@@ -107,23 +107,6 @@ class ParamVector:
                 f"parameter dimension {self.theta.shape[0]}"
             )
         return features @ self.theta + self.intercept
-
-
-def loss_value(kind: str, params: ParamVector, x: np.ndarray, y: float) -> float:
-    """Pointwise loss of a linear model at one example; always >= 0."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(loss_values(kind, params, x, [y])[0])
-
-
-def loss_subgradient(kind: str, params: ParamVector, x: np.ndarray, y: float) -> np.ndarray:
-    """Subgradient of ``loss_value`` with respect to (theta, intercept).
-
-    Returns a vector of length d + 1 (intercept coordinate last).  At the
-    absolute-loss kink the zero element of the subdifferential is returned.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    slope = loss_residual_slopes(kind, params, x.reshape(1, -1), [y])[0]
-    return slope * np.append(x, 1.0)
 
 
 def loss_values(kind: str, params: ParamVector, features: np.ndarray,

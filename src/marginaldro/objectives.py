@@ -54,6 +54,11 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 _POOL = ThreadPoolExecutor(max(WORKERS - 1, 1))
 
+# bytes of physical memory, or None where os.sysconf cannot tell
+MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+                if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
+                else None)
+
 # primal_inner_sup's grid points per coordinate, by n, and refinement rounds
 PRIMAL_GRID_POINTS = {1: 33, 2: 21, 3: 17, 4: 13, 5: 9, 6: 7}
 PRIMAL_LEVELS = 12
@@ -109,6 +114,13 @@ def plan_dtype(n: int) -> np.dtype:
 def dense_plan_bytes(n: int) -> int:
     """Bytes of the n x n arrays ``train`` allocates for a plan objective."""
     return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + DISTANCE_BUILD_ARRAYS * 8)
+
+
+def check_memory(n: int, nbytes: int):
+    """Raise MemoryError when ``nbytes`` of n x n arrays exceed ``MEMORY_BYTES``."""
+    if MEMORY_BYTES is not None and nbytes > MEMORY_BYTES:
+        raise MemoryError(f"n = {n} needs {nbytes:,} bytes of n x n arrays, more than "
+                          f"the machine's {MEMORY_BYTES:,} bytes of memory")
 
 
 def plan_adjustments(plan: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Full-batch projected subgradient descent for the robust objectives.
 
+``SPEC_FIELDS`` lists the ``RobustSpec`` fields each objective reads; which
+objectives take eta, need p > 1 or carry a transport plan follows from it.
 Every trainable objective is convex in its variables; the solver keeps the
 best iterate seen, projects eta to [0, M] and plans to the nonnegative
 orthant each step, and records the running-best objective in the trace.
@@ -11,7 +13,6 @@ extra n).  The optimum is unchanged; only the step geometry is.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,21 +21,25 @@ from .duals import RobustSpec, cvar_dual, pnorm_dual
 from .model import Dataset, ParamVector, loss_values, loss_values_and_slopes
 from .objectives import (
     DensePlanStep,
+    DISTANCE_BUILD_ARRAYS,
     TransportKernel,
+    check_memory,
     dense_plan_bytes,
     pairwise_distance_power,
     resolve_eps,
 )
 from .variational import KernelSpec, gram, holder_constant, median_bandwidth
 
-# "marginal_confounded" is another name for "marginal": spec.delta alone sets
-# the confounding penalty
-OBJECTIVES = ("erm", "joint_cvar", "joint_pnorm", "marginal",
-              "marginal_confounded", "rkhs", "bounded_holder")
-# the objectives that carry a dense n x n transport plan
-PLAN_OBJECTIVES = ("marginal", "marginal_confounded", "bounded_holder")
-
-DENSE_PLAN_WARN_N = 20000
+# objective -> the RobustSpec fields it reads, among alpha0, p,
+# lipschitz_ratio, eps and delta.  "marginal_confounded" is another name for
+# "marginal": spec.delta alone sets the confounding penalty
+SPEC_FIELDS = {"erm": (), "joint_cvar": ("alpha0",), "joint_pnorm": ("alpha0", "p"),
+               "marginal": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
+               "marginal_confounded": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
+               "rkhs": ("alpha0",), "bounded_holder": ("alpha0", "p", "lipschitz_ratio", "eps")}
+OBJECTIVES = tuple(SPEC_FIELDS)
+# the objectives priced by lipschitz_ratio, which carry a dense n x n plan
+PLAN_OBJECTIVES = tuple(o for o, fields in SPEC_FIELDS.items() if "lipschitz_ratio" in fields)
 
 # the joint objectives reset eta to its exact minimizer every this many steps
 ETA_REFRESH = 10
@@ -91,7 +96,8 @@ class ObjectiveFunction:
     ``DensePlanStep`` or the beta gradient.  The plan gradient stays in
     that per-example form: ``plan_step`` applies it without building the
     n x n array.  Distances and Gram matrices are precomputed once, so
-    repeated evaluation is cheap.
+    repeated evaluation is cheap; a MemoryError is raised before they are
+    built when their bytes exceed the machine's memory.
     """
 
     def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str,
@@ -99,15 +105,19 @@ class ObjectiveFunction:
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         check_p(objective, spec)
+        self.uses_eta = "alpha0" in SPEC_FIELDS[objective]
+        self.uses_plan = objective in PLAN_OBJECTIVES
+        self.uses_beta = objective == "rkhs"
+        n = dataset.n
+        if self.uses_plan:
+            check_memory(n, dense_plan_bytes(n))
+        elif self.uses_beta:
+            check_memory(n, DISTANCE_BUILD_ARRAYS * 8 * n * n)
         self.dataset = dataset
         self.kind = kind
         self.objective = objective
         self.ridge = ridge
-        self.xa = np.column_stack([dataset.features, np.ones(dataset.n)])
-        self.uses_eta = objective != "erm"
-        self.uses_plan = objective in PLAN_OBJECTIVES
-        self.uses_beta = objective == "rkhs"
-        n = dataset.n
+        self.xa = np.column_stack([dataset.features, np.ones(n)])
         if self.uses_plan:
             spec = resolve_eps(spec, loss_values(kind, ParamVector(np.zeros(dataset.d)),
                                                  dataset.features, dataset.labels))
@@ -216,13 +226,6 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     the zero plan and passes the best iterate as ``keep``, so the step
     writes around it and the best plan is never copied.
     """
-    if opt.objective in PLAN_OBJECTIVES and dataset.n > DENSE_PLAN_WARN_N:
-        nbytes = dense_plan_bytes(dataset.n)
-        warnings.warn(
-            f"dense transport plan: train allocates {nbytes:,} bytes "
-            f"({nbytes / 1e9:.1f} GB) of n x n arrays for n = {dataset.n}",
-            RuntimeWarning,
-        )
     fn = ObjectiveFunction(dataset, kind, spec, opt.objective, kernel, opt.ridge)
     spec = fn.spec
     n = dataset.n
@@ -243,7 +246,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     window = 25
     for t in range(opt.max_iters):
         if joint and t % ETA_REFRESH == 0:
-            p_eff = spec.p if opt.objective == "joint_pnorm" else 1.0
+            p_eff = spec.p if "p" in SPEC_FIELDS[opt.objective] else 1.0
             eta = optimal_eta_exact(fn.losses(w), spec.alpha0, p_eff)
         value, g_w, g_eta, plan_vec, g_beta = fn.value_grad(w, eta, plan, beta)
         if not np.isfinite(value):
@@ -286,12 +289,13 @@ def _eta_bound(spec: RobustSpec, losses) -> float:
 
 
 def check_p(objective: str, spec: RobustSpec):
-    """Raise ValueError at p = 1 for the objectives whose dual divides by p - 1,
-    and for bounded_holder, whose cost ||x_i - x_j||^(p-1) is 1 for every
-    pair there (the diagonal too), so that L/eps would have no effect."""
-    if spec.p <= 1.0 and objective in ("joint_pnorm", *PLAN_OBJECTIVES):
+    """Raise ValueError at p <= 1 for the objectives that read p
+    (``SPEC_FIELDS``): their duals divide by p - 1, and bounded_holder's cost
+    ||x_i - x_j||^(p-1) is 1 for every pair there (the diagonal too), so that
+    L/eps would have no effect.  joint_cvar is the p = 1 objective."""
+    if spec.p <= 1.0 and "p" in SPEC_FIELDS[objective]:
         raise ValueError(f"{objective} needs p > 1, got p = {spec.p:g}; "
-                         "use joint_cvar for p = 1")
+                         "joint_cvar is the p = 1 objective")
 
 
 def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,

@@ -5,7 +5,8 @@ replicate estimate of worst-case risk on a held-out dataset (row-mean losses
 over repeated labels, then the CVaR tail mean).  Ties break toward the
 smaller lipschitz_ratio; grid points that fail numerically (ValueError,
 ArithmeticError, DivergenceError) are recorded, not fatal, unless every point
-fails.  Any other exception is a bug and propagates.  A p the objective
+fails.  Any other exception propagates: a MemoryError (the n x n arrays
+would not fit) from the first grid point, or a bug.  A p the objective
 cannot take (``optim.check_p``) is raised before the first grid point.
 """
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import marginaldro.objectives as objectives
 from marginaldro import cli
 from marginaldro.cli import (
     CSV_CHUNK_ROWS,
@@ -314,21 +315,54 @@ def test_seed_is_rejected_where_nothing_is_drawn(workdir, capsys):
                  "--out-model", str(workdir / "model.txt")]) == 0
 
 
+HYPERPARAMETER_FLAGS = {"--alpha0": "0.9", "--p": "1.5", "--lipschitz-ratio": "50",
+                        "--eps": "0.3", "--delta": "5"}
+# the hyperparameter flags each objective ignores; marginal reads them all
+UNREAD_FLAGS = {"erm": ("--alpha0", "--p", "--lipschitz-ratio", "--eps", "--delta"),
+                "joint_cvar": ("--p", "--lipschitz-ratio", "--eps", "--delta"),
+                "joint_pnorm": ("--lipschitz-ratio", "--eps", "--delta"),
+                "rkhs": ("--p", "--lipschitz-ratio", "--eps", "--delta"),
+                "bounded_holder": ("--delta",)}
+
+
 @pytest.mark.parametrize("objective", ["erm", "joint_cvar", "joint_pnorm", "rkhs",
                                        "bounded_holder"])
 def test_delta_without_a_confounding_penalty_is_rejected(workdir, capsys, objective):
+    """Every hyperparameter flag the objective does not read is a usage error
+    (--delta without a confounding penalty among them); the flags it reads
+    and config-file values of the others still train."""
     csv, model = str(workdir / "lin.csv"), workdir / "m.txt"
     write_line_csv(csv)
     argv = ["train", "--in-csv", csv, "--objective", objective, "--iters", "5",
             "--out-model", str(model)]
-    assert main([*argv, "--delta", "5"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: --delta") and objective in err
-    assert not model.exists()
-    # a config-file delta is a default, which such an objective ignores
+    for flag in UNREAD_FLAGS[objective]:
+        assert main([*argv, flag, HYPERPARAMETER_FLAGS[flag]]) == 2, flag
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} has no effect on {objective}\n"
+        assert not model.exists()
+    if objective == "joint_cvar":  # p = 1 is what joint_cvar computes, still unread
+        assert main([*argv, "--p", "1"]) == 2
+        assert capsys.readouterr().err == "error: --p has no effect on joint_cvar\n"
+    read = [a for flag, value in HYPERPARAMETER_FLAGS.items()
+            if flag not in UNREAD_FLAGS[objective] for a in (flag, value)]
+    assert main([*argv, *read]) == 0
+    model.unlink()
+    # a config-file value is a default, which such an objective ignores
     cfg = workdir / "cfg.txt"
-    cfg.write_text("delta=5\n")
+    cfg.write_text("".join(f"{flag[2:].replace('-', '_')}={HYPERPARAMETER_FLAGS[flag]}\n"
+                           for flag in UNREAD_FLAGS[objective]))
     assert main([*argv, "--config", str(cfg)]) == 0
+
+
+def test_too_little_memory_is_a_usage_error(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(objectives, "MEMORY_BYTES", 1)
+    write_line_csv(workdir / "lin.csv")
+    model = workdir / "m.txt"
+    assert main(["train", "--in-csv", str(workdir / "lin.csv"), "--objective", "marginal",
+                 "--out-model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n = 60 needs") and "1 bytes of memory" in err
+    assert not model.exists()
 
 
 def test_marginal_trains_the_delta_it_is_given(workdir):

@@ -4,7 +4,6 @@ import pytest
 from marginaldro.datagen import (
     CONFOUNDER_SUPPORT,
     SimSpec,
-    conditional_risk_oracle,
     conditional_risks,
     generate,
     generate_replicates,
@@ -112,19 +111,19 @@ def test_generate_is_the_single_replicate_draw(variant, n):
 def test_oracle_known_values():
     # prediction equal to x1 on the right group: folded-normal mean sqrt(2/pi)
     p = ParamVector([1.0])
-    assert conditional_risk_oracle(p, [0.4], "toy_1d") == pytest.approx(np.sqrt(2 / np.pi))
+    assert conditional_risks(p, [[0.4]], "toy_1d")[0] == pytest.approx(np.sqrt(2 / np.pi))
     # left group is deterministic
     p0 = ParamVector([0.0])
-    assert conditional_risk_oracle(p0, [-0.5], "toy_1d") == pytest.approx(0.5)
+    assert conditional_risks(p0, [[-0.5]], "toy_1d")[0] == pytest.approx(0.5)
     # unit offset on the right group
     p2 = ParamVector([2.0])
-    val = conditional_risk_oracle(p2, [1.0], "toy_1d")  # mu = 1
+    val = conditional_risks(p2, [[1.0]], "toy_1d")[0]  # mu = 1
     assert val == pytest.approx(1.1666, abs=2e-3)
 
 
 def test_oracle_rejects_confounded():
     with pytest.raises(ValueError):
-        conditional_risk_oracle(ParamVector([1.0]), [0.5], "confounded")
+        conditional_risks(ParamVector([1.0]), [[0.5]], "confounded")
 
 
 def test_oracle_matches_monte_carlo():
@@ -134,19 +133,10 @@ def test_oracle_matches_monte_carlo():
         d = int(rng.integers(1, 4))
         params = ParamVector(rng.normal(size=d), rng.normal() * 0.3)
         x = rng.uniform(-1, 1, size=d)
-        exact = conditional_risk_oracle(params, x, "simdist")
+        exact = conditional_risks(params, x[None, :], "simdist")[0]
         pred = float(params.predict(x[None, :])[0])
         if x[0] < 0:
             mc = abs(pred - abs(x[0]))
         else:
             mc = np.mean(np.abs(pred - (x[0] + eps)))
         assert exact == pytest.approx(mc, abs=0.01)
-
-
-def test_conditional_risks_vectorized():
-    rng = np.random.default_rng(10)
-    params = ParamVector(rng.normal(size=2), 0.1)
-    X = rng.uniform(-1, 1, size=(30, 2))
-    vec = conditional_risks(params, X, "simdist")
-    point = [conditional_risk_oracle(params, X[i], "simdist") for i in range(30)]
-    assert np.allclose(vec, point)

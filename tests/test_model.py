@@ -5,30 +5,40 @@ from marginaldro.model import (
     Dataset,
     ParamVector,
     loss_residual_slopes,
-    loss_subgradient,
-    loss_value,
     loss_values,
 )
 
 
+def one_loss(kind, params, x, y):
+    """The loss at one example, through the vectorized ``loss_values``."""
+    return float(loss_values(kind, params, np.reshape(x, (1, -1)), [y])[0])
+
+
+def one_subgradient(kind, params, x, y):
+    """The loss subgradient wrt (theta, intercept) at one example:
+    ``loss_residual_slopes`` times (x, 1)."""
+    x = np.ravel(x)
+    return loss_residual_slopes(kind, params, x[None, :], [y])[0] * np.append(x, 1.0)
+
+
 def test_absolute_loss_examples():
     p0 = ParamVector(np.zeros(3))
-    assert loss_value("absolute_deviation", p0, [0.1, -0.2, 0.5], 2.0) == 2.0
+    assert one_loss("absolute_deviation", p0, [0.1, -0.2, 0.5], 2.0) == 2.0
     p = ParamVector([1.0])
-    assert loss_value("absolute_deviation", p, [0.5], 0.5) == 0.0
+    assert one_loss("absolute_deviation", p, [0.5], 0.5) == 0.0
 
 
 def test_logistic_loss_at_zero():
     p0 = ParamVector(np.zeros(2))
-    assert loss_value("logistic", p0, [1.0, 2.0], 1.0) == pytest.approx(np.log(2.0))
+    assert one_loss("logistic", p0, [1.0, 2.0], 1.0) == pytest.approx(np.log(2.0))
 
 
 def test_zero_one_loss():
     p = ParamVector([1.0], 0.0)
-    assert loss_value("zero_one", p, [2.0], 1.0) == 0.0
-    assert loss_value("zero_one", p, [2.0], -1.0) == 1.0
+    assert one_loss("zero_one", p, [2.0], 1.0) == 0.0
+    assert one_loss("zero_one", p, [2.0], -1.0) == 1.0
     with pytest.raises(ValueError):
-        loss_subgradient("zero_one", p, [2.0], 1.0)
+        one_subgradient("zero_one", p, [2.0], 1.0)
 
 
 def test_losses_nonnegative_random():
@@ -37,24 +47,24 @@ def test_losses_nonnegative_random():
         d = int(rng.integers(1, 5))
         p = ParamVector(rng.normal(size=d), rng.normal())
         x = rng.normal(size=d)
-        assert loss_value("absolute_deviation", p, x, rng.normal()) >= 0.0
-        assert loss_value("logistic", p, x, rng.choice([-1.0, 1.0])) >= 0.0
+        assert one_loss("absolute_deviation", p, x, rng.normal()) >= 0.0
+        assert one_loss("logistic", p, x, rng.choice([-1.0, 1.0])) >= 0.0
 
 
 def test_subgradient_sign_cases():
     p = ParamVector([1.0], 0.5)   # pred = x + 0.5
-    g = loss_subgradient("absolute_deviation", p, [2.0], 1.0)  # pred 2.5 > y
+    g = one_subgradient("absolute_deviation", p, [2.0], 1.0)  # pred 2.5 > y
     assert np.allclose(g, [2.0, 1.0])
-    g = loss_subgradient("absolute_deviation", p, [2.0], 3.0)  # pred 2.5 < y
+    g = one_subgradient("absolute_deviation", p, [2.0], 3.0)  # pred 2.5 < y
     assert np.allclose(g, [-2.0, -1.0])
-    g = loss_subgradient("absolute_deviation", p, [2.0], 2.5)  # at the kink
+    g = one_subgradient("absolute_deviation", p, [2.0], 2.5)  # at the kink
     assert np.allclose(g, [0.0, 0.0])
 
 
 def test_logistic_subgradient_at_zero():
     p0 = ParamVector(np.zeros(2))
     x = np.array([0.3, -0.7])
-    g = loss_subgradient("logistic", p0, x, 1.0)
+    g = one_subgradient("logistic", p0, x, 1.0)
     assert np.allclose(g, np.append(-x / 2.0, -0.5))
 
 
@@ -69,7 +79,7 @@ def test_subgradient_matches_finite_differences():
         y = rng.normal() if kind == "absolute_deviation" else float(rng.choice([-1.0, 1.0]))
         if kind == "absolute_deviation" and abs(p.predict(x[None, :])[0] - y) < 1e-3:
             continue  # too close to the kink for finite differences
-        g = loss_subgradient(kind, p, x, y)
+        g = one_subgradient(kind, p, x, y)
         h = 1e-6
         fd = np.empty(d + 1)
         for j in range(d + 1):
@@ -80,7 +90,7 @@ def test_subgradient_matches_finite_differences():
                     theta[j] += sgn * h
                 else:
                     b += sgn * h
-                val = loss_value(kind, ParamVector(theta, b), x, y)
+                val = one_loss(kind, ParamVector(theta, b), x, y)
                 if store == 0:
                     up = val
                 else:
@@ -104,7 +114,7 @@ def test_loss_values_match_pointwise():
     y = rng.normal(size=20)
     p = ParamVector(rng.normal(size=3), 0.2)
     vec = loss_values("absolute_deviation", p, X, y)
-    point = [loss_value("absolute_deviation", p, X[i], y[i]) for i in range(20)]
+    point = [abs(X[i] @ p.theta + p.intercept - y[i]) for i in range(20)]
     assert np.allclose(vec, point)
     slopes = loss_residual_slopes("absolute_deviation", p, X, y)
     assert set(np.unique(slopes)).issubset({-1.0, 0.0, 1.0})

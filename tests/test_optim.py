@@ -12,6 +12,7 @@ from marginaldro.model import Dataset, loss_residual_slopes, loss_values
 from marginaldro.optim import (
     OBJECTIVES,
     PLAN_OBJECTIVES,
+    SPEC_FIELDS,
     DivergenceError,
     ObjectiveFunction,
     OptimizerConfig,
@@ -181,18 +182,47 @@ def test_marginal_takes_its_confounding_from_delta():
     assert not np.array_equal(confounded.trace, plain.trace)
 
 
-def test_dense_plan_warning(monkeypatch):
-    monkeypatch.setattr(optim, "DENSE_PLAN_WARN_N", 10)
-    ds = generate(SimSpec(n=12, d=1, variant="toy_1d", seed=0))
-    with pytest.warns(RuntimeWarning, match="transport plan") as record:
-        train(ds, "absolute_deviation", RobustSpec(alpha0=0.5, p=2.0),
-              OptimizerConfig(objective="marginal", max_iters=2))
+def test_memory_is_checked_before_n_by_n_arrays(monkeypatch):
+    """Dense objectives raise MemoryError before any n x n array when their
+    bytes exceed the machine's memory, and train at the real figure."""
     # float64 at n = 12: the plan, its spare buffer and the folded penalty,
     # plus the two float64 arrays of the distance build
     assert optim.dense_plan_bytes(12) == 12 * 12 * (3 * 8 + 2 * 8)
-    assert f"allocates {12 * 12 * 40:,} bytes" in str(record[0].message)
     # float32 plans from FLOAT32_PLAN_N on
     assert optim.dense_plan_bytes(20001) == 20001**2 * (3 * 4 + 2 * 8)
+
+    def no_n_by_n(*args):
+        raise AssertionError("an n x n array was built")
+
+    ds = generate(SimSpec(n=40, d=2, variant="simdist", seed=0))
+    spec = RobustSpec(alpha0=0.3, p=2.0)
+    # rkhs builds two float64 arrays for its distances, then the Gram matrix
+    for objective, nbytes in (("marginal", 40 * 40 * 40), ("bounded_holder", 40 * 40 * 40),
+                              ("rkhs", 40 * 40 * 16)):
+        opt = OptimizerConfig(objective=objective, max_iters=3)
+        with monkeypatch.context() as m:
+            m.setattr(optim, "pairwise_distance_power", no_n_by_n)
+            m.setattr(optim, "median_bandwidth", no_n_by_n)
+            m.setattr(objectives, "MEMORY_BYTES", nbytes - 1)
+            with pytest.raises(MemoryError, match=f"n = 40 needs {nbytes:,} bytes.*"
+                                                  f" {nbytes - 1:,} bytes"):
+                train(ds, "absolute_deviation", spec, opt)
+        assert np.isfinite(train(ds, "absolute_deviation", spec, opt).objective)
+
+
+def test_spec_fields_are_the_fields_train_reads():
+    """Changing a RobustSpec field moves the train trace iff SPEC_FIELDS lists it."""
+    ds = generate(SimSpec(n=60, d=2, variant="confounded", seed=0))
+    base = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, eps=0.05, delta=0.05)
+    changed = {"alpha0": 0.5, "p": 1.5, "lipschitz_ratio": 5.0, "eps": 0.2, "delta": 0.3}
+    assert set().union(*SPEC_FIELDS.values()) == set(changed)
+    for objective in OBJECTIVES:
+        opt = OptimizerConfig(objective=objective, max_iters=30)
+        trace = train(ds, "absolute_deviation", base, opt).trace
+        for field, value in changed.items():
+            moved = train(ds, "absolute_deviation", replace(base, **{field: value}), opt).trace
+            assert (not np.array_equal(moved, trace)) == (field in SPEC_FIELDS[objective]), \
+                (objective, field)
 
 
 def test_rkhs_and_bounded_holder_train():

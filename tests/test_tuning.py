@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 import marginaldro.tuning as tuning
 from marginaldro.datagen import SimSpec, generate, generate_replicates
@@ -147,3 +148,19 @@ def test_p1_bounded_holder_rejected_before_training(monkeypatch):
         cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=1.0), opt,
                        [1.0, 10.0], holdout)
 
+
+
+def test_memory_error_propagates_from_the_first_grid_point(monkeypatch):
+    """Too little memory is not a numeric failure: the first grid point raises it."""
+    real_train, calls = tuning.train, []
+
+    def counted_train(*args):
+        calls.append(args)
+        return real_train(*args)
+
+    monkeypatch.setattr(tuning, "train", counted_train)
+    monkeypatch.setattr(objectives, "MEMORY_BYTES", 1)
+    ds, holdout = setup_data(seed=10, n=40)
+    with pytest.raises(MemoryError, match="n = 40 needs"):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout)
+    assert len(calls) == 1
