@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .model import Dataset, ParamVector
 
@@ -111,6 +110,9 @@ def conditional_risks(params: ParamVector, features, variant: str) -> np.ndarray
             f"conditional risk oracle supports toy_1d and simdist, got {variant!r}; "
             "evaluate the confounded variant with replicates"
         )
+    # imported on first use, so that importing the package loads no scipy
+    from scipy.special import erf
+
     features = np.atleast_2d(np.asarray(features, dtype=float))
     pred = params.predict(features)
     x1 = features[:, 0]

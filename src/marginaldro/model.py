@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 ABSOLUTE = "absolute_deviation"
 LOGISTIC = "logistic"
@@ -163,8 +162,13 @@ def _losses(kind, r):
 
 
 def _slopes(kind, r, labels):
+    if kind == ABSOLUTE:
+        return np.sign(r)
+    # imported on first use, so that importing the package loads no scipy
+    from scipy.special import expit
+
     # d/df log(1 + exp(-y f)) = -y * sigmoid(-y f)
-    return np.sign(r) if kind == ABSOLUTE else -labels * expit(r)
+    return -labels * expit(r)
 
 
 def _check_binary_labels(labels):

@@ -46,11 +46,15 @@ ETA_REFRESH = 10
 
 
 class DivergenceError(RuntimeError):
-    """Objective became NaN/inf; carries the iteration where it happened."""
+    """Objective became NaN/inf; carries the iteration where it happened and
+    the block that went non-finite first: w, eta, beta, plan or, when every
+    iterate is finite, objective."""
 
-    def __init__(self, iteration: int):
-        super().__init__(f"objective diverged (NaN/inf) at iteration {iteration}")
+    def __init__(self, iteration: int, block: str):
+        super().__init__(f"objective diverged (NaN/inf) at iteration {iteration}: "
+                         f"{block} is not finite")
         self.iteration = iteration
+        self.block = block
 
 
 @dataclass
@@ -221,7 +225,9 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     """Minimize the configured objective; returns the best iterate.
 
     The trace holds the running-best objective value per iteration, hence is
-    nonincreasing.  Identical inputs give bitwise-identical traces.  A plan
+    nonincreasing.  Identical inputs give bitwise-identical traces for the
+    same BLAS build and thread count: the gradient ``xa.T @ (v * slopes)`` is
+    a BLAS product whose summation order follows its threads.  A plan
     objective holds one plan reference: the step (``fn.transport``) makes
     the zero plan and passes the best iterate as ``keep``, so the step
     writes around it and the best plan is never copied.
@@ -245,12 +251,14 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     trace = []
     window = 25
     for t in range(opt.max_iters):
+        if not np.isfinite(w).all():  # d + 1 numbers; ParamVector would refuse them
+            raise DivergenceError(t, "w")
         if joint and t % ETA_REFRESH == 0:
             p_eff = spec.p if "p" in SPEC_FIELDS[opt.objective] else 1.0
             eta = optimal_eta_exact(fn.losses(w), spec.alpha0, p_eff)
         value, g_w, g_eta, plan_vec, g_beta = fn.value_grad(w, eta, plan, beta)
         if not np.isfinite(value):
-            raise DivergenceError(t)
+            raise DivergenceError(t, _nonfinite_block(eta=eta, beta=beta, plan=plan))
         if value < best_value:
             best_value, best_plan = value, plan
             best = (w.copy(), eta, beta.copy() if beta is not None else None)
@@ -273,6 +281,14 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     best_w, best_eta, best_beta = best
     return TrainResult(ParamVector(best_w[:-1], best_w[-1]), best_value,
                        np.asarray(trace), eta=best_eta, plan=best_plan, beta=best_beta)
+
+
+def _nonfinite_block(**blocks) -> str:
+    """Name of the first iterate block holding a NaN/inf, else "objective"."""
+    for name, x in blocks.items():
+        if x is not None and not np.isfinite(x).all():
+            return name
+    return "objective"
 
 
 def optimal_eta_exact(losses, alpha0: float, p: float) -> float:

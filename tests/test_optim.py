@@ -123,11 +123,25 @@ def test_eta_stays_projected():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reports_iteration():
-    ds = linear_dataset()
+    """The error names the first non-finite block, else the objective."""
+    config = OptimizerConfig(objective="erm", max_iters=50, step0=1e308)
+    # features in [-4, 4]: the first step puts w[0] past the float64 range
+    wide = Dataset(4.0 * linear_dataset().features, linear_dataset().labels)
     with pytest.raises(DivergenceError) as err:
-        train(ds, "absolute_deviation", RobustSpec(alpha0=0.5),
-              OptimizerConfig(objective="erm", max_iters=50, step0=1e308))
+        train(wide, "absolute_deviation", RobustSpec(alpha0=0.5), config)
     assert err.value.iteration > 0
+    assert err.value.block == "w"
+    assert str(err.value).endswith(": w is not finite")
+    # features in [-1, 1]: w[0] is about 5e307, finite, but the mean loss overflows
+    with pytest.raises(DivergenceError) as err:
+        train(linear_dataset(), "absolute_deviation", RobustSpec(alpha0=0.5), config)
+    assert err.value.iteration > 0
+    assert err.value.block == "objective"
+    # the plan objectives step the plan by the same huge step
+    with pytest.raises(DivergenceError) as err:
+        train(linear_dataset(), "absolute_deviation", RobustSpec(alpha0=0.5),
+              replace(config, objective="marginal"))
+    assert err.value.block == "plan"
 
 
 def test_optimizer_config_validation():
