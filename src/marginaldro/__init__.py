@@ -18,7 +18,6 @@ from .evaluation import (
 )
 from .model import Dataset, ParamVector
 from .objectives import (
-    DualState,
     marginal_objective,
     pairwise_distance_power,
     primal_inner_sup,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DivergenceError",
-    "DualState",
     "KernelSpec",
     "OptimizerConfig",
     "ParamVector",

@@ -144,7 +144,6 @@ def _build_parser():
                    help="alpha0 for the held-out replicate score (default: --alpha0)")
     c.add_argument("--holdout-frac", type=float, default=0.25,
                    help="held-out row fraction when scoring a CSV dataset")
-    c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--out-csv", default="-")
 
     r = command("repro", "run a scripted experiment, write CSV bundle", cmd_repro)
@@ -426,7 +425,7 @@ def cmd_cv(args) -> int:
             # fall back to single-draw replicates (the m=1 estimate)
             holdout = replace(holdout, replicates=holdout.labels[:, None])
     result = cross_validate(ds, args.loss, spec, _opt_config(args), grid, holdout,
-                            score_alpha0=args.cv_alpha0, jobs=args.jobs)
+                            score_alpha0=args.cv_alpha0)
     rows = [(e.lipschitz_ratio, e.score, "ok" if e.error is None else "failed")
             for e in result.entries]
     _write_rows(args.out_csv, ("lipschitz_ratio", "score", "status"), rows)

@@ -30,20 +30,20 @@ class RobustSpec:
         minimizers divide by p - 1, and ``bounded_holder``'s cost
         ||x_i - x_j||^(p-1) is 1 for every pair there, so all of them raise
         ValueError at p = 1 (``optim.check_p``).
-    lipschitz_ratio : float >= 0
+    lipschitz_ratio : finite float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
-        penalty.
-    eps : float > 0, optional
+        penalty; joint DRO is its limit as L/eps grows, not a value.
+    eps : finite float > 0, optional
         Risk floor scale; enters the objective only through eps**(q-1) in
         the floor and through L**(p-1)/eps in the penalty.  When left unset
         it is resolved from data, see ``objectives.resolve_eps``.
-    delta : float >= 0
+    delta : finite float >= 0
         Postulated confounding level, the one switch of the confounded
         objective: ``marginal`` (and its other name ``marginal_confounded``)
         adds the entrywise plan penalty 2 delta**(p-1)/eps * sum |B_ij| / n**2
         when delta > 0, and delta = 0 is the unconfounded objective.  The
         other objectives have no such penalty; the CLI rejects --delta there.
-    loss_bound : float > 0, optional
+    loss_bound : finite float > 0, optional
         Bound M on the losses; defaults to the max observed loss where one
         is needed.
     """
@@ -60,14 +60,17 @@ class RobustSpec:
             raise ValueError(f"alpha0 must be in (0, 1], got {self.alpha0}")
         if not 1.0 <= self.p <= 2.0:
             raise ValueError(f"p must be in [1, 2], got {self.p}")
-        if self.lipschitz_ratio < 0:
-            raise ValueError("lipschitz_ratio must be >= 0")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be > 0")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.loss_bound is not None and self.loss_bound <= 0:
-            raise ValueError("loss_bound must be > 0")
+        # NaN fails every comparison, so each bound also asks for a finite value
+        if not (np.isfinite(self.lipschitz_ratio) and self.lipschitz_ratio >= 0):
+            raise ValueError(f"lipschitz_ratio must be finite and >= 0, "
+                             f"got {self.lipschitz_ratio}")
+        if self.eps is not None and not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not (np.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        if self.loss_bound is not None and not (np.isfinite(self.loss_bound)
+                                                and self.loss_bound > 0):
+            raise ValueError(f"loss_bound must be finite and > 0, got {self.loss_bound}")
 
     @property
     def q(self) -> float:

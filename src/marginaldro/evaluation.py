@@ -19,6 +19,9 @@ from .model import Dataset, ParamVector, loss_values, pointwise_losses, _check_k
 
 ORACLE_EVAL_ROWS = 20000
 
+# eval_group_split skips a column when either side of its split has fewer rows
+GROUP_SPLIT_MIN_ROWS = 10
+
 
 @dataclass
 class RiskReport:
@@ -94,12 +97,12 @@ class GroupSplitResult:
     skipped: str | None = None
 
 
-def eval_group_split(params: ParamVector, dataset: Dataset, kind: str, columns,
-                     min_rows: int = 10) -> list[GroupSplitResult]:
+def eval_group_split(params: ParamVector, dataset: Dataset, kind: str,
+                     columns) -> list[GroupSplitResult]:
     """Worst of the two group-mean losses for each flagged binary column.
 
-    Splits with fewer than ``min_rows`` rows on either side are skipped with
-    a reason rather than scored.
+    Splits with fewer than ``GROUP_SPLIT_MIN_ROWS`` rows on either side are
+    skipped with a reason rather than scored.
     """
     losses = loss_values(kind, params, dataset.features, dataset.labels)
     out = []
@@ -109,9 +112,9 @@ def eval_group_split(params: ParamVector, dataset: Dataset, kind: str, columns,
             raise ValueError(f"column {col} is not binary")
         ones = values == 1.0
         n1, n0 = int(ones.sum()), int((~ones).sum())
-        if min(n0, n1) < min_rows:
-            out.append(GroupSplitResult(col, None, n0, n1,
-                                        skipped=f"a split side has < {min_rows} rows"))
+        if min(n0, n1) < GROUP_SPLIT_MIN_ROWS:
+            out.append(GroupSplitResult(
+                col, None, n0, n1, skipped=f"a split side has < {GROUP_SPLIT_MIN_ROWS} rows"))
             continue
         worst = max(float(losses[ones].mean()), float(losses[~ones].mean()))
         out.append(GroupSplitResult(col, worst, n0, n1))

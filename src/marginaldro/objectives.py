@@ -25,7 +25,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -62,21 +62,6 @@ MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 # primal_inner_sup's grid points per coordinate, by n, and refinement rounds
 PRIMAL_GRID_POINTS = {1: 33, 2: 21, 3: 17, 4: 13, 5: 9, 6: 7}
 PRIMAL_LEVELS = 12
-
-
-@dataclass
-class DualState:
-    """Optimization variables (theta, eta, B) of the robust surrogate."""
-
-    params: ParamVector
-    eta: float
-    plan: np.ndarray
-
-    def __post_init__(self):
-        self.eta = float(self.eta)
-        self.plan = np.asarray(self.plan, dtype=float)
-        if self.plan.ndim != 2 or self.plan.shape[0] != self.plan.shape[1]:
-            raise ValueError(f"plan must be square, got shape {self.plan.shape}")
 
 
 def squared_distances(features: np.ndarray) -> np.ndarray:
@@ -182,14 +167,16 @@ def marginal_objective(losses, dist, eta: float, plan, spec: RobustSpec) -> floa
     return value
 
 
-def robust_surrogate(state: DualState, dataset, kind: str, spec: RobustSpec) -> float:
+def robust_surrogate(params: ParamVector, eta: float, plan, dataset, kind: str,
+                     spec: RobustSpec) -> float:
     """Training surrogate (1/alpha0) * max(objective, eps^(q-1)) + eta of
-    ``marginal_objective``, confounding penalty included when delta > 0."""
-    losses = loss_values(kind, state.params, dataset.features, dataset.labels)
+    ``marginal_objective`` at (theta, eta, B), confounding penalty included
+    when delta > 0."""
+    losses = loss_values(kind, params, dataset.features, dataset.labels)
     dist = pairwise_distance_power(dataset.features, spec.p)
     spec = resolve_eps(spec, losses)
-    value = marginal_objective(losses, dist, state.eta, state.plan, spec)
-    return max(value, floor_value(spec)) / spec.alpha0 + state.eta
+    value = marginal_objective(losses, dist, eta, plan, spec)
+    return max(value, floor_value(spec)) / spec.alpha0 + eta
 
 
 class DensePlanStep:

@@ -64,7 +64,6 @@ class OptimizerConfig:
     objective: str = "erm"
     max_iters: int = 400
     step0: float = 0.2
-    tol: float = 0.0
     ridge: float = 0.0
     fit_intercept: bool = True
 
@@ -73,10 +72,10 @@ class OptimizerConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be > 0")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not (np.isfinite(self.step0) and self.step0 > 0):
+            raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
+        if not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass
@@ -136,7 +135,7 @@ class ObjectiveFunction:
             if kernel is None:
                 kernel = KernelSpec(bandwidth=median_bandwidth(dataset.features))
             self.kernel = kernel
-            self.k = gram(dataset.features, kernel, check=False)
+            self.k = gram(dataset.features, kernel)
         self.spec = spec
         self.last_losses: np.ndarray | None = None
 
@@ -249,7 +248,6 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     best_value = np.inf
     best = best_plan = None
     trace = []
-    window = 25
     for t in range(opt.max_iters):
         if not np.isfinite(w).all():  # d + 1 numbers; ParamVector would refuse them
             raise DivergenceError(t, "w")
@@ -263,10 +261,6 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
             best_value, best_plan = value, plan
             best = (w.copy(), eta, beta.copy() if beta is not None else None)
         trace.append(best_value)
-        if opt.tol > 0 and t > window:
-            prev = trace[-window - 1]
-            if prev - best_value <= opt.tol * max(abs(prev), 1e-12):
-                break
         step = opt.step0 / np.sqrt(t + 1.0)
         w = w - step * g_w
         if not opt.fit_intercept:

@@ -6,8 +6,10 @@ over repeated labels, then the CVaR tail mean).  Ties break toward the
 smaller lipschitz_ratio; grid points that fail numerically (ValueError,
 ArithmeticError, DivergenceError) are recorded, not fatal, unless every point
 fails.  Any other exception propagates: a MemoryError (the n x n arrays
-would not fit) from the first grid point, or a bug.  A p the objective
-cannot take (``optim.check_p``) is raised before the first grid point.
+would not fit) from the first grid point, or a bug.  Spec errors are
+raised before the first grid point: an objective that does not read
+lipschitz_ratio (``optim.PLAN_OBJECTIVES``), a p it cannot take
+(``optim.check_p``) and a holdout without replicate labels.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .duals import RobustSpec, replicate_worst_case
 from .evaluation import loss_matrix
 from .model import Dataset
-from .optim import DivergenceError, OptimizerConfig, TrainResult, check_p, train
+from .optim import (PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, TrainResult,
+                    check_p, train)
 
 
 @dataclass
@@ -57,7 +60,13 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    check_p(opt.objective, spec)  # a spec error, not one grid point's failure
+    # spec errors, not one grid point's failure
+    if opt.objective not in PLAN_OBJECTIVES:
+        raise ValueError(f"{opt.objective} does not read lipschitz_ratio; cross_validate "
+                         f"tunes one of {PLAN_OBJECTIVES}")
+    check_p(opt.objective, spec)
+    if holdout.replicates is None:
+        raise ValueError("holdout dataset has no replicates")
     score_alpha0 = spec.alpha0 if score_alpha0 is None else float(score_alpha0)
     entries: list[CVEntry] = [None] * len(grid)
     best = None  # (score, grid index, result)

@@ -41,22 +41,19 @@ def median_bandwidth(features: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def gram(features: np.ndarray, kernel: KernelSpec, check: bool = True) -> np.ndarray:
-    """Gram matrix k_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)).
-
-    With ``check`` the matrix is validated positive semidefinite by an
-    attempted Cholesky factorization (with a small diagonal jitter).
-    """
+def gram(features: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """Gram matrix k_ij = exp(-||x_i - x_j||^2 / (2 sigma^2))."""
     k = squared_distances(features)
     np.negative(k, out=k)
     k /= 2.0 * kernel.bandwidth**2
     np.exp(k, out=k)
-    if check:
-        check_gram(k)
     return k
 
 
 def check_gram(k: np.ndarray):
+    """Raise ValueError unless ``k`` is a symmetric positive semidefinite
+    matrix, by an attempted Cholesky factorization with a small diagonal
+    jitter."""
     k = np.asarray(k, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"gram matrix must be square, got {k.shape}")
@@ -89,21 +86,20 @@ def rkhs_objective(losses, gram_matrix, eta: float, beta, alpha0: float,
     return hinge + np.sqrt(quad / radius) / n
 
 
-def bounded_holder_objective(losses, dist, eta: float, plan, alpha0: float,
-                             spec: RobustSpec) -> float:
+def bounded_holder_objective(losses, dist, eta: float, plan, spec: RobustSpec) -> float:
     """Transport dual of the bounded-Hölder class.
 
     (1/(alpha0 n)) sum_i (l_i - c_i - eta)_+
         + (L^(p-1)/n^2) sum_ij ||x_i - x_j||^(p-1) B_ij
 
     Unlike the Lp variant the penalty carries no 1/eps factor and the
-    outer 1/alpha0 multiplies only the hinge sum.  L is recovered from the
-    spec as lipschitz_ratio * eps.
+    outer 1/alpha0 multiplies only the hinge sum.  alpha0 is ``spec.alpha0``
+    and L is recovered from the spec as lipschitz_ratio * eps.
     """
     losses, plan, dist = _check_inputs(losses, plan, dist)
     n = losses.size
     c = plan_adjustments(plan)
-    hinge = np.maximum(losses - c - eta, 0.0).sum() / (alpha0 * n)
+    hinge = np.maximum(losses - c - eta, 0.0).sum() / (spec.alpha0 * n)
     return hinge + holder_constant(spec) * float(np.vdot(dist, plan)) / n**2
 
 

@@ -174,6 +174,19 @@ def test_train_divergence_exit_code(workdir):
     assert "diverged" in r.stderr
 
 
+@pytest.mark.parametrize("flags, named", [(["train", "--eps", "nan"], "eps must be finite"),
+                                          (["cv", "--jobs", "2"], "--jobs")])
+def test_dropped_or_non_finite_flag_is_a_usage_error(workdir, capsys, flags, named):
+    write_line_csv(workdir / "lin.csv")
+    argv = [*flags, "--objective", "marginal", "--in-csv", str(workdir / "lin.csv")]
+    if flags[0] == "train":
+        argv += ["--out-model", str(workdir / "m.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and named in err
+    assert not (workdir / "m.txt").exists()
+
+
 def test_eval_joint_mean_row(workdir):
     csv = workdir / "lin.csv"
     write_line_csv(csv, slope=2.0)

@@ -10,7 +10,6 @@ from marginaldro.duals import RobustSpec
 from marginaldro.model import Dataset, ParamVector
 from marginaldro.objectives import (
     DensePlanStep,
-    DualState,
     TransportKernel,
     floor_value,
     marginal_objective,
@@ -69,7 +68,7 @@ def test_pairwise_distance_power_matches_broadcast_formula():
         kernel = KernelSpec(bandwidth=0.7)
         k = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
         np.fill_diagonal(k, 1.0)
-        assert np.array_equal(gram(x, kernel, check=False), k)
+        assert np.array_equal(gram(x, kernel), k)
         off = d2[np.triu_indices(n, k=1)]
         med = float(np.sqrt(np.median(off))) if off.size else 1.0
         assert median_bandwidth(x) == (med if med > 0 else 1.0)
@@ -214,21 +213,21 @@ def test_confounded_objective():
 def test_robust_surrogate_examples():
     # floor active: (1/alpha0) * floor + eta
     ds = Dataset([[0.0], [1.0]], [0.0, 0.0])
-    state = DualState(ParamVector([0.0]), eta=0.3, plan=np.zeros((2, 2)))
     spec = RobustSpec(alpha0=0.5, p=2.0, lipschitz_ratio=1.0, eps=0.01)
-    assert robust_surrogate(state, ds, "absolute_deviation", spec) == pytest.approx(0.32)
+    assert robust_surrogate(ParamVector([0.0]), 0.3, np.zeros((2, 2)), ds,
+                            "absolute_deviation", spec) == pytest.approx(0.32)
 
     # constant losses with eta = c: hinge block zero
     ds = Dataset([[0.0], [1.0]], [2.0, 3.0])   # theta=1, b=2 fits exactly... use direct
     ds = Dataset([[1.0], [1.0]], [1.5, 1.5])
-    state = DualState(ParamVector([0.0]), eta=1.5, plan=np.zeros((2, 2)))
     expected = 0.01 / 0.5 + 1.5
-    assert robust_surrogate(state, ds, "absolute_deviation", spec) == pytest.approx(expected)
+    assert robust_surrogate(ParamVector([0.0]), 1.5, np.zeros((2, 2)), ds,
+                            "absolute_deviation", spec) == pytest.approx(expected)
 
     # two-point instance above the floor: 1.5 / 0.5 = 3.0
     ds = Dataset([[0.0], [1.0]], [0.0, 2.0])
-    state = DualState(ParamVector([0.0]), eta=0.0, plan=TWO_POINT["plan"])
-    assert robust_surrogate(state, ds, "absolute_deviation", spec) == pytest.approx(3.0)
+    assert robust_surrogate(ParamVector([0.0]), 0.0, TWO_POINT["plan"], ds,
+                            "absolute_deviation", spec) == pytest.approx(3.0)
 
 
 def test_subgradient_hinge_inactive():
@@ -253,42 +252,38 @@ def test_subgradient_matches_finite_differences():
     while checked < 30:
         n, d = int(rng.integers(2, 6)), 2
         ds = Dataset(rng.uniform(-1, 1, (n, d)), rng.uniform(0, 2, n))
-        state = DualState(ParamVector(rng.normal(size=d) * 0.5, rng.normal() * 0.2),
-                          eta=float(rng.uniform(0, 0.5)),
-                          plan=np.abs(rng.normal(size=(n, n))) * 0.3)
+        params = ParamVector(rng.normal(size=d) * 0.5, rng.normal() * 0.2)
+        eta = float(rng.uniform(0, 0.5))
+        plan = np.abs(rng.normal(size=(n, n))) * 0.3
         for spec in (replace(confounded, delta=0.0), confounded):
             fn = ObjectiveFunction(ds, "absolute_deviation", spec, "marginal")
-            w = np.append(state.params.theta, state.params.intercept)
-            _, g_theta, g_eta, plan_vec, _ = fn.value_grad(w, state.eta, state.plan)
+            w = np.append(params.theta, params.intercept)
+            _, g_theta, g_eta, plan_vec, _ = fn.value_grad(w, eta, plan)
             g_plan = fn.transport.plan_grad(plan_vec)
 
-            def val(st):
-                return robust_surrogate(st, ds, "absolute_deviation", spec)
+            def val(params, eta, plan):
+                return robust_surrogate(params, eta, plan, ds, "absolute_deviation", spec)
 
             h = 1e-6
             ok = True
             # a few random coordinates of each block
             for _ in range(3):
                 j = int(rng.integers(0, d))
-                tp, tm = state.params.theta.copy(), state.params.theta.copy()
+                tp, tm = params.theta.copy(), params.theta.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd = (val(DualState(ParamVector(tp, state.params.intercept), state.eta,
-                                    state.plan))
-                      - val(DualState(ParamVector(tm, state.params.intercept), state.eta,
-                                      state.plan))) / (2 * h)
+                fd = (val(ParamVector(tp, params.intercept), eta, plan)
+                      - val(ParamVector(tm, params.intercept), eta, plan)) / (2 * h)
                 if abs(fd - g_theta[j]) > 1e-4 * max(1.0, abs(fd)):
                     ok = False
-            fd = (val(DualState(state.params, state.eta + h, state.plan))
-                  - val(DualState(state.params, state.eta - h, state.plan))) / (2 * h)
+            fd = (val(params, eta + h, plan) - val(params, eta - h, plan)) / (2 * h)
             if abs(fd - g_eta) > 1e-4 * max(1.0, abs(fd)):
                 ok = False
             i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-            pp, pm = state.plan.copy(), state.plan.copy()
+            pp, pm = plan.copy(), plan.copy()
             pp[i, j] += h
             pm[i, j] -= h
-            fd = (val(DualState(state.params, state.eta, pp))
-                  - val(DualState(state.params, state.eta, pm))) / (2 * h)
+            fd = (val(params, eta, pp) - val(params, eta, pm)) / (2 * h)
             if abs(fd - g_plan[i, j]) > 1e-4 * max(1.0, abs(fd)):
                 ok = False
             assert ok

@@ -153,6 +153,18 @@ def test_optimizer_config_validation():
         OptimizerConfig(step0=0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["lipschitz_ratio", "eps", "delta", "loss_bound", "step0",
+                                   "ridge"])
+def test_non_finite_hyperparameters_rejected(field, value):
+    """NaN fails every comparison, so a range check alone would let it through."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field in ("step0", "ridge"):
+            OptimizerConfig(**{field: value})
+        else:
+            RobustSpec(alpha0=0.3, **{field: value})
+
+
 @pytest.mark.parametrize("objective", ["joint_pnorm", "marginal", "marginal_confounded",
                                        "bounded_holder"])
 def test_p1_rejected_before_distances(monkeypatch, objective):
@@ -254,13 +266,6 @@ def test_rkhs_and_bounded_holder_train():
             assert result.beta is not None
 
 
-def test_tol_early_stop():
-    ds = linear_dataset()
-    result = train(ds, "absolute_deviation", RobustSpec(alpha0=0.5),
-                   OptimizerConfig(objective="erm", max_iters=5000, step0=0.5, tol=1e-4))
-    assert len(result.trace) < 5000
-
-
 def test_objective_function_value_matches_train_trace():
     """The training path's value is the public reference surrogate's."""
     ds = generate(SimSpec(n=60, d=2, variant="simdist", seed=8))
@@ -270,10 +275,10 @@ def test_objective_function_value_matches_train_trace():
     plan = np.abs(np.random.default_rng(0).normal(size=(60, 60))) * 0.2
     v1 = fn.value_grad(w, 0.3, plan)[0]
     from marginaldro.model import ParamVector
-    from marginaldro.objectives import DualState, robust_surrogate
+    from marginaldro.objectives import robust_surrogate
 
-    state = DualState(ParamVector(w[:-1], w[-1]), 0.3, plan)
-    assert robust_surrogate(state, ds, "absolute_deviation", fn.spec) == pytest.approx(v1)
+    assert robust_surrogate(ParamVector(w[:-1], w[-1]), 0.3, plan, ds, "absolute_deviation",
+                            fn.spec) == pytest.approx(v1)
 
 
 def test_plan_step_matches_materialized_step():

@@ -150,6 +150,28 @@ def test_p1_bounded_holder_rejected_before_training(monkeypatch):
 
 
 
+@pytest.mark.parametrize("objective", ["erm", "joint_cvar", "rkhs"])
+def test_objective_without_lipschitz_ratio_rejected_before_training(monkeypatch, objective):
+    def no_training(*args):
+        raise AssertionError("a grid point was trained")
+
+    monkeypatch.setattr(tuning, "train", no_training)
+    ds, holdout = setup_data(seed=9, n=40)
+    opt = OptimizerConfig(objective=objective, max_iters=5)
+    with pytest.raises(ValueError, match=f"{objective} does not read lipschitz_ratio"):
+        cross_validate(ds, "absolute_deviation", SPEC, opt, [0.1, 1.0, 10.0], holdout)
+
+
+def test_holdout_without_replicates_rejected_before_training(monkeypatch):
+    def no_training(*args):
+        raise AssertionError("a grid point was trained")
+
+    monkeypatch.setattr(tuning, "train", no_training)
+    ds, _ = setup_data(seed=9, n=40)
+    with pytest.raises(ValueError, match="holdout dataset has no replicates"):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, [0.1, 1.0, 10.0], ds)
+
+
 def test_memory_error_propagates_from_the_first_grid_point(monkeypatch):
     """Too little memory is not a numeric failure: the first grid point raises it."""
     real_train, calls = tuning.train, []

@@ -75,17 +75,17 @@ def test_bounded_holder_examples():
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
     plan = np.array([[0.0, 0.0], [2.0, 0.0]])
     # worked example: hinge sum 1.0 plus penalty 0.5
-    v = bounded_holder_objective(losses, dist, 0.0, plan, 1.0, spec_with())
+    v = bounded_holder_objective(losses, dist, 0.0, plan, spec_with(alpha0=1.0))
     assert v == pytest.approx(1.5)
     # B = 0 reduces to the CVaR dual integrand, exactly
     rng = np.random.default_rng(1)
     l2 = rng.uniform(0, 2, 6)
     d2 = pairwise_distance_power(rng.uniform(-1, 1, (6, 2)), 2.0)
     eta = 0.6
-    v0 = bounded_holder_objective(l2, d2, eta, np.zeros((6, 6)), 0.3, spec_with())
+    v0 = bounded_holder_objective(l2, d2, eta, np.zeros((6, 6)), spec_with(alpha0=0.3))
     assert v0 == np.maximum(l2 - eta, 0.0).sum() / (0.3 * 6)
     # everything below eta with B = 0: zero
-    assert bounded_holder_objective(l2, d2, 10.0, np.zeros((6, 6)), 0.3, spec_with()) == 0.0
+    assert bounded_holder_objective(l2, d2, 10.0, np.zeros((6, 6)), spec_with(alpha0=0.3)) == 0.0
 
 
 def test_objectives_midpoint_convex():
@@ -104,10 +104,9 @@ def test_objectives_midpoint_convex():
                       + rkhs_objective(losses, k, e2, b2, 0.4, 1.0))
         assert mid <= ends + 1e-10
         p1, p2 = np.abs(rng.normal(size=(2, n, n))) * 0.5
-        mid = bounded_holder_objective(losses, dist, 0.5 * (e1 + e2), 0.5 * (p1 + p2),
-                                       0.4, spec)
-        ends = 0.5 * (bounded_holder_objective(losses, dist, e1, p1, 0.4, spec)
-                      + bounded_holder_objective(losses, dist, e2, p2, 0.4, spec))
+        mid = bounded_holder_objective(losses, dist, 0.5 * (e1 + e2), 0.5 * (p1 + p2), spec)
+        ends = 0.5 * (bounded_holder_objective(losses, dist, e1, p1, spec)
+                      + bounded_holder_objective(losses, dist, e2, p2, spec))
         assert mid <= ends + 1e-10
 
 
@@ -120,7 +119,7 @@ def test_smoothing_improves_on_zero():
     dist = pairwise_distance_power(x, 2.0)
     spec = spec_with(alpha0=0.4, lipschitz_ratio=0.5)
     eta = 0.5
-    at_zero = bounded_holder_objective(losses, dist, eta, np.zeros((n, n)), 0.4, spec)
+    at_zero = bounded_holder_objective(losses, dist, eta, np.zeros((n, n)), spec)
     # crude projected subgradient descent on the plan
     plan = np.zeros((n, n))
     best = at_zero
@@ -129,7 +128,7 @@ def test_smoothing_improves_on_zero():
         active = (losses - c - eta > 0).astype(float)
         g = -(active[:, None] - active[None, :]) / (0.4 * n * n) + 0.5 * dist / n**2
         plan = np.maximum(plan - (0.3 / np.sqrt(t + 1)) * n * n * g, 0.0)
-        best = min(best, bounded_holder_objective(losses, dist, eta, plan, 0.4, spec))
+        best = min(best, bounded_holder_objective(losses, dist, eta, plan, spec))
     assert best <= at_zero + 1e-12
 
     k = gram(x, KernelSpec(bandwidth=1.0))
