@@ -124,8 +124,8 @@ def pnorm_dual(values, alpha0: float, p: float) -> tuple[float, float]:
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("pnorm_dual needs at least one value")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1.0):  # NaN fails every comparison
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     if p == 1.0:
         return cvar_dual(values, alpha0)
     if not 0.0 < alpha0 <= 1.0:

@@ -2,20 +2,19 @@
 
 Each grid point is trained on the training sample and scored by the
 replicate estimate of worst-case risk on a held-out dataset (row-mean losses
-over repeated labels, then the CVaR tail mean).  Ties break toward the
-smaller lipschitz_ratio; grid points that fail numerically (ValueError,
-ArithmeticError, DivergenceError) are recorded, not fatal, unless every point
-fails.  Any other exception propagates: a MemoryError (the n x n arrays
-would not fit) from the first grid point, or a bug.  Spec errors are
-raised before the first grid point: an objective that does not read
-lipschitz_ratio (``optim.PLAN_OBJECTIVES``), a p it cannot take
-(``optim.check_p``) and a holdout without replicate labels.
+over repeated labels, then the CVaR tail mean).  Grid points run in turn, in
+ascending order, and ties keep the smaller lipschitz_ratio.  A grid point
+that fails numerically (ArithmeticError, DivergenceError) is recorded, not
+fatal, unless every point fails; any other exception propagates, such as a
+MemoryError from the first grid point, or a bug.  Every spec error is a
+ValueError raised before the first grid point trains: an objective that does
+not read lipschitz_ratio (``optim.PLAN_OBJECTIVES``), a p it cannot take
+(``optim.check_p``), a ratio ``RobustSpec`` rejects, a scoring alpha0
+outside (0, 1] and a holdout without replicate labels.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,47 +54,47 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
                    score_alpha0: float | None = None, jobs: int = 1) -> CVResult:
     """Train one model per lipschitz_ratio in ``grid`` and keep the best scorer.
 
-    Each grid point is scored as it finishes, and its ``TrainResult`` (n x n
-    plan included) is kept only while it is the best so far."""
+    ``jobs`` accepts only 1.  Each grid point is scored as it finishes, and its
+    ``TrainResult`` (n x n plan included) is kept only while it is the best."""
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     # spec errors, not one grid point's failure
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (grid points run in turn), got {jobs}")
     if opt.objective not in PLAN_OBJECTIVES:
         raise ValueError(f"{opt.objective} does not read lipschitz_ratio; cross_validate "
                          f"tunes one of {PLAN_OBJECTIVES}")
     check_p(opt.objective, spec)
     if holdout.replicates is None:
         raise ValueError("holdout dataset has no replicates")
+    points = [replace(spec, lipschitz_ratio=ratio) for ratio in grid]
     score_alpha0 = spec.alpha0 if score_alpha0 is None else float(score_alpha0)
-    entries: list[CVEntry] = [None] * len(grid)
-    best = None  # (score, grid index, result)
-    lock = threading.Lock()
+    if not 0.0 < score_alpha0 <= 1.0:
+        raise ValueError(f"score_alpha0 must be in (0, 1], got {score_alpha0}")
+    entries: list[CVEntry] = []
+    best = None  # (entry, result)
 
-    def run(i: int):
+    def run(point: RobustSpec) -> None:
+        # one scope per grid point: a result that is not the best is freed on return
         nonlocal best
-        ratio = grid[i]
         try:
-            result = train(dataset, kind, replace(spec, lipschitz_ratio=ratio), opt)
+            result = train(dataset, kind, point, opt)
             score = replicate_score(result, holdout, kind, score_alpha0)
             if not np.isfinite(score):
-                raise ValueError(f"non-finite score {score}")
-        except (ValueError, ArithmeticError, DivergenceError) as err:  # numeric: record
-            entries[i] = CVEntry(ratio, np.nan, error=str(err))
+                raise FloatingPointError(f"non-finite score {score}")
+        except (ArithmeticError, DivergenceError) as err:  # numeric: record
+            entries.append(CVEntry(point.lipschitz_ratio, np.nan, error=str(err)))
             return
-        entries[i] = entry = CVEntry(ratio, float(score))
-        with lock:
-            # the grid is ascending, so the lower index keeps the smaller ratio on ties
-            if best is None or (entry.score, i) < best[:2]:
-                best = (entry.score, i, result)
+        entries.append(entry := CVEntry(point.lipschitz_ratio, float(score)))
+        # the grid is ascending, so a strict < keeps the smaller ratio on ties
+        if best is None or entry.score < best[0].score:
+            best = (entry, result)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, range(len(grid))))
-    else:
-        list(map(run, range(len(grid))))
+    for point in points:
+        run(point)
 
     if best is None:
         raise RuntimeError("every grid point failed: "
                            + "; ".join(f"{e.lipschitz_ratio:g}: {e.error}" for e in entries))
-    return CVResult(entries, grid[best[1]], best[2])
+    return CVResult(entries, best[0].lipschitz_ratio, best[1])

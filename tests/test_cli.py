@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import marginaldro.objectives as objectives
-from marginaldro import cli
+from marginaldro import cli, tuning
 from marginaldro.cli import (
     CSV_CHUNK_ROWS,
     main,
@@ -185,6 +185,29 @@ def test_dropped_or_non_finite_flag_is_a_usage_error(workdir, capsys, flags, nam
     err = capsys.readouterr().err
     assert "error: " in err and named in err
     assert not (workdir / "m.txt").exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    pytest.param(["--lipschitz-ratio", "1,nan"], "lipschitz_ratio must be finite",
+                 id="ratio-nan"),
+    pytest.param(["--lipschitz-ratio", "1,-1"], "lipschitz_ratio must be finite and >= 0",
+                 id="ratio-negative"),
+    pytest.param(["--lipschitz-ratio", "1,10", "--cv-alpha0", "0"], "alpha0 must be in (0, 1]",
+                 id="cv-alpha0-0"),
+    pytest.param(["--lipschitz-ratio", "1,10", "--cv-alpha0", "1.5"],
+                 "alpha0 must be in (0, 1]", id="cv-alpha0-1.5"),
+])
+def test_cv_spec_error_is_a_usage_error_before_training(workdir, capsys, monkeypatch,
+                                                        flags, named):
+    def no_training(*args):
+        raise AssertionError("a grid point was trained")
+
+    monkeypatch.setattr(tuning, "train", no_training)
+    out = workdir / "cv.csv"
+    assert main(["cv", "--n", "100", *flags, "--out-csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_eval_joint_mean_row(workdir):

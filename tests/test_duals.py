@@ -120,6 +120,13 @@ def test_pnorm_rejects_bad_p():
         pnorm_dual([1.0], 0.5, 0.8)
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf")])
+def test_pnorm_rejects_non_finite_p(p):
+    # NaN used to return (nan, 0.0) and inf (2.0, 0.0), though the limit's minimum is 3.0
+    with pytest.raises(ValueError, match="p must be finite and >= 1"):
+        pnorm_dual([1.0, 2.0, 3.0], 0.5, p)
+
+
 def test_replicate_worst_case():
     v = np.array([0.5, 1.5, 2.5, 0.1])
     assert replicate_worst_case(v[:, None], 0.4) == pytest.approx(cvar_dual(v, 0.4)[0])

@@ -1,6 +1,4 @@
 import gc
-import itertools
-import threading
 import weakref
 
 import numpy as np
@@ -12,7 +10,7 @@ import marginaldro.tuning as tuning
 from marginaldro.datagen import SimSpec, generate, generate_replicates
 from marginaldro.duals import RobustSpec
 from marginaldro.model import Dataset
-from marginaldro.optim import OptimizerConfig
+from marginaldro.optim import DivergenceError, OptimizerConfig
 from marginaldro.tuning import cross_validate, replicate_score
 
 
@@ -65,21 +63,21 @@ def test_all_failures_raise():
         cross_validate(ds, "absolute_deviation", SPEC, bad_opt, [1.0, 10.0], holdout)
 
 
-def test_partial_failures_recorded():
+def test_partial_failures_recorded(monkeypatch):
+    real_train = tuning.train
+
+    def diverging_at_one(dataset, kind, spec, opt):
+        if spec.lipschitz_ratio == 1.0:
+            raise DivergenceError(3, "plan")
+        return real_train(dataset, kind, spec, opt)
+
+    monkeypatch.setattr(tuning, "train", diverging_at_one)
     ds, holdout = setup_data(seed=4)
-    # a negative ratio fails RobustSpec validation inside that grid point only
-    result = cross_validate(ds, "absolute_deviation", SPEC, OPT, [-1.0, 5.0], holdout)
+    result = cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 5.0], holdout)
     errors = {e.lipschitz_ratio: e.error for e in result.entries}
-    assert errors[-1.0] is not None and errors[5.0] is None
+    assert "diverged" in errors[1.0] and errors[5.0] is None
+    assert np.isnan(result.entries[0].score)
     assert result.best_ratio == 5.0
-
-
-def test_parallel_jobs_match_serial():
-    ds, holdout = setup_data(seed=5)
-    a = cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout, jobs=1)
-    b = cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout, jobs=2)
-    assert a.best_ratio == b.best_ratio
-    assert [e.score for e in a.entries] == [e.score for e in b.entries]
 
 
 def test_empty_grid_rejected():
@@ -95,53 +93,76 @@ def test_bug_inside_train_propagates(monkeypatch):
 
     monkeypatch.setattr(optim, "loss_values_and_slopes", broken)
     ds, holdout = setup_data(seed=7)
-    for jobs in (1, 2):
-        with pytest.raises(TypeError, match="not a numeric failure"):
-            cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout,
-                           jobs=jobs)
+    with pytest.raises(TypeError, match="not a numeric failure"):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0], holdout)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_only_the_best_finished_result_is_held(monkeypatch, jobs):
+def test_value_error_inside_train_propagates(monkeypatch):
+    """A ValueError from one grid point's training is a bug, not a failed point."""
+    real_train, calls = tuning.train, []
+
+    def value_error_at_ten(dataset, kind, spec, opt):
+        calls.append(spec.lipschitz_ratio)
+        if spec.lipschitz_ratio == 10.0:
+            raise ValueError("not a numeric failure")
+        return real_train(dataset, kind, spec, opt)
+
+    monkeypatch.setattr(tuning, "train", value_error_at_ten)
+    ds, holdout = setup_data(seed=7, n=60)
+    with pytest.raises(ValueError, match="not a numeric failure"):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, [1.0, 10.0, 100.0], holdout)
+    assert calls == [1.0, 10.0]
+
+
+def test_only_the_best_finished_result_is_held(monkeypatch):
     """While grid point k trains, at most one earlier TrainResult is alive."""
-    real_train, real_score = tuning.train, tuning.replicate_score
+    real_train = tuning.train
     results, alive_at_start = [], []
-    starts, scores = itertools.count(), itertools.count()
-    scored = [threading.Event() for _ in range(4)]
 
     def probed_train(dataset, kind, spec, opt):
-        k = next(starts)
-        # grid points run one at a time: k starts once k - 1 is scored; the
-        # scoring thread then finishes k - 1 without blocking, so it holds
-        # the GIL until k - 1's result is dropped or kept as the best
-        assert k == 0 or scored[k - 1].wait(timeout=60)
         gc.collect()
         alive_at_start.append(sum(ref() is not None for ref in results))
         result = real_train(dataset, kind, spec, opt)
         results.append(weakref.ref(result))
         return result
 
-    def signalling_score(*args):
-        score = real_score(*args)
-        scored[next(scores)].set()  # points are scored in the order they start
-        return score
-
     monkeypatch.setattr(tuning, "train", probed_train)
-    monkeypatch.setattr(tuning, "replicate_score", signalling_score)
     ds, holdout = setup_data(seed=8, n=60)
     opt = OptimizerConfig(objective="marginal", max_iters=10, fit_intercept=False)
     result = cross_validate(ds, "absolute_deviation", SPEC, opt, [0.1, 1.0, 10.0, 100.0],
-                            holdout, jobs=jobs)
+                            holdout)
     assert len(alive_at_start) == 4 and max(alive_at_start) <= 1
     gc.collect()
     assert [ref() for ref in results if ref() is not None] == [result.best_result]
 
 
-def test_p1_bounded_holder_rejected_before_training(monkeypatch):
-    def no_training(*args):
-        raise AssertionError("a grid point was trained")
+def _no_training(*args):
+    raise AssertionError("a grid point was trained")
 
-    monkeypatch.setattr(tuning, "train", no_training)
+
+@pytest.mark.parametrize("grid, kwargs, named", [
+    pytest.param([1.0, float("nan")], {}, "lipschitz_ratio must be finite", id="nan-ratio"),
+    pytest.param([-1.0, 5.0], {}, "lipschitz_ratio must be finite and >= 0",
+                 id="negative-ratio"),
+    pytest.param([1.0, 10.0], {"score_alpha0": 0.0}, "alpha0 must be in \\(0, 1\\]",
+                 id="score-alpha0-0"),
+    pytest.param([1.0, 10.0], {"score_alpha0": 1.5}, "alpha0 must be in \\(0, 1\\]",
+                 id="score-alpha0-1.5"),
+    pytest.param([1.0, 10.0], {"score_alpha0": float("nan")}, "alpha0 must be in \\(0, 1\\]",
+                 id="score-alpha0-nan"),
+    pytest.param([1.0, 10.0], {"jobs": 0}, "grid points run in turn", id="jobs-0"),
+    pytest.param([1.0, 10.0], {"jobs": 2}, "grid points run in turn", id="jobs-2"),
+])
+def test_bad_grid_point_score_alpha0_or_jobs_rejected_before_training(monkeypatch, grid,
+                                                                      kwargs, named):
+    monkeypatch.setattr(tuning, "train", _no_training)
+    ds, holdout = setup_data(seed=9, n=40)
+    with pytest.raises(ValueError, match=named):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, grid, holdout, **kwargs)
+
+
+def test_p1_bounded_holder_rejected_before_training(monkeypatch):
+    monkeypatch.setattr(tuning, "train", _no_training)
     ds, holdout = setup_data(seed=9, n=40)
     opt = OptimizerConfig(objective="bounded_holder", max_iters=5)
     with pytest.raises(ValueError, match="bounded_holder needs p > 1"):
@@ -149,13 +170,9 @@ def test_p1_bounded_holder_rejected_before_training(monkeypatch):
                        [1.0, 10.0], holdout)
 
 
-
 @pytest.mark.parametrize("objective", ["erm", "joint_cvar", "rkhs"])
 def test_objective_without_lipschitz_ratio_rejected_before_training(monkeypatch, objective):
-    def no_training(*args):
-        raise AssertionError("a grid point was trained")
-
-    monkeypatch.setattr(tuning, "train", no_training)
+    monkeypatch.setattr(tuning, "train", _no_training)
     ds, holdout = setup_data(seed=9, n=40)
     opt = OptimizerConfig(objective=objective, max_iters=5)
     with pytest.raises(ValueError, match=f"{objective} does not read lipschitz_ratio"):
@@ -163,10 +180,7 @@ def test_objective_without_lipschitz_ratio_rejected_before_training(monkeypatch,
 
 
 def test_holdout_without_replicates_rejected_before_training(monkeypatch):
-    def no_training(*args):
-        raise AssertionError("a grid point was trained")
-
-    monkeypatch.setattr(tuning, "train", no_training)
+    monkeypatch.setattr(tuning, "train", _no_training)
     ds, _ = setup_data(seed=9, n=40)
     with pytest.raises(ValueError, match="holdout dataset has no replicates"):
         cross_validate(ds, "absolute_deviation", SPEC, OPT, [0.1, 1.0, 10.0], ds)
