@@ -114,10 +114,15 @@ def test_value_error_inside_train_propagates(monkeypatch):
     assert calls == [1.0, 10.0]
 
 
-def test_only_the_best_finished_result_is_held(monkeypatch):
-    """While grid point k trains, at most one earlier TrainResult is alive."""
-    real_train = tuning.train
-    results, alive_at_start = [], []
+@pytest.mark.parametrize("best_at", [1, 2])
+def test_only_the_best_finished_result_is_held(monkeypatch, best_at):
+    """While grid point k trains, at most one earlier TrainResult is alive.
+
+    Scores are fixed so that grid point ``best_at`` (1-based) is the best: at 1
+    every later result is dropped, at 2 the held best is also replaced once."""
+    real_train, real_score = tuning.train, tuning.replicate_score
+    grid = [0.1, 1.0, 10.0, 100.0]
+    results, alive_at_start, scored = [], [], []
 
     def probed_train(dataset, kind, spec, opt):
         gc.collect()
@@ -126,11 +131,18 @@ def test_only_the_best_finished_result_is_held(monkeypatch):
         results.append(weakref.ref(result))
         return result
 
+    def fixed_score(*args):
+        real_score(*args)
+        k = len(scored) + 1  # grid points are scored in ascending order
+        scored.append(k)
+        return 0.0 if k == best_at else float(k)
+
     monkeypatch.setattr(tuning, "train", probed_train)
+    monkeypatch.setattr(tuning, "replicate_score", fixed_score)
     ds, holdout = setup_data(seed=8, n=60)
     opt = OptimizerConfig(objective="marginal", max_iters=10, fit_intercept=False)
-    result = cross_validate(ds, "absolute_deviation", SPEC, opt, [0.1, 1.0, 10.0, 100.0],
-                            holdout)
+    result = cross_validate(ds, "absolute_deviation", SPEC, opt, grid, holdout)
+    assert result.best_ratio == grid[best_at - 1]
     assert len(alive_at_start) == 4 and max(alive_at_start) <= 1
     gc.collect()
     assert [ref() for ref in results if ref() is not None] == [result.best_result]
