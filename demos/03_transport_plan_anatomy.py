@@ -10,7 +10,8 @@ entry B_ij moves loss from example i to example j at cost proportional to
 * L/eps = inf    moving loss is impossible, B = 0            -> joint DRO
 
 This script sweeps the price on a tiny instance and shows the two limits,
-plus the strong-duality check against a brute-force inner maximization.
+plus the strong-duality check against one convex solve of the inner
+maximization.
 """
 
 import numpy as np
@@ -40,13 +41,13 @@ print(f"\nfree-transport limit  (mean - eta)_+          = {flat:.4f}")
 h = np.maximum(losses - eta, 0.0)
 print(f"no-transport limit    sqrt(mean hinge^2)      = {np.sqrt(np.mean(h**2)):.4f}")
 
-# Strong duality: the plan infimum equals a brute-force maximization over
-# the smoothed reweighting functions it was derived from.
+# Strong duality: the plan infimum equals the maximum over the smoothed
+# reweighting functions it was derived from, found by one convex solve.
 spec = RobustSpec(alpha0=0.5, p=2.0, lipschitz_ratio=1.0, eps=1.0)
 dual, _ = minimize_plan(losses, dist, eta, spec, iters=8000)
 primal = primal_inner_sup(losses, dist, eta, spec)
 print(f"\nstrong duality check: inf over plans {dual:.6f} "
-      f"vs grid supremum {primal:.6f}")
+      f"vs primal supremum {primal:.6f}")
 
 # Adding the threshold eta back in and minimizing over it gives the full
 # training surrogate; at a huge price it coincides with the joint p-norm dual.

@@ -32,7 +32,9 @@ class RobustSpec:
         ValueError at p = 1 (``optim.check_p``).
     lipschitz_ratio : finite float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
-        penalty; joint DRO is its limit as L/eps grows, not a value.
+        penalty; joint DRO is its limit as L/eps grows, not a value: the
+        joint p-norm dual at level alpha0 / (p-1)**(1/p) (alpha0 itself at
+        p = 2), where that level is at most 1.
     eps : finite float > 0, optional
         Risk floor scale; enters the objective only through eps**(q-1) in
         the floor and through L**(p-1)/eps in the penalty.  When left unset

@@ -59,10 +59,6 @@ MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                 if {"SC_PAGE_SIZE", "SC_PHYS_PAGES"} <= set(getattr(os, "sysconf_names", ()))
                 else None)
 
-# primal_inner_sup's grid points per coordinate, by n, and refinement rounds
-PRIMAL_GRID_POINTS = {1: 33, 2: 21, 3: 17, 4: 13, 5: 9, 6: 7}
-PRIMAL_LEVELS = 12
-
 
 def squared_distances(features: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances ||x_i - x_j||^2, zero on the diagonal.
@@ -111,7 +107,8 @@ def check_memory(n: int, nbytes: int):
 def plan_adjustments(plan: np.ndarray) -> np.ndarray:
     """Per-example loss adjustments c_i = (1/n) sum_j (B_ij - B_ji)."""
     plan = np.asarray(plan)
-    return _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1])[0]
+    rows = plan.sum(axis=1, dtype=np.float64)
+    return (rows - plan.sum(axis=0, dtype=np.float64)) / plan.shape[0]
 
 
 def penalty_coefficient(spec: RobustSpec) -> float:
@@ -313,61 +310,46 @@ class TransportKernel(DensePlanStep):
 
 
 def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:
-    """Brute-force value of the inner supremum the transport dual solves.
+    """Value of the inner supremum the transport dual solves, by one convex solve.
 
     Maximizes (1/n) sum_i h_i (l_i - eta) over h >= 0 with
-    mean(h^q) <= 1 and h_i - h_j <= (L^(p-1)/eps) ||x_i - x_j||^(p-1), by
-    PRIMAL_LEVELS rounds of grid refinement; every grid direction is
-    rescaled onto the tightest binding constraint before scoring.
-    Exponential in n, so only n <= 6 is accepted; used as a strong-duality
-    oracle against the infimum of ``marginal_objective`` over plans.
+    mean(h^q) <= R^q, R = (p-1)^(1/p) (the hinge block's factor), and
+    h_i - h_j <= (L^(p-1)/eps) ||x_i - x_j||^(p-1), by SLSQP from h = 0.
+    The solver's point is made feasible before it is scored: clipped at 0,
+    lowered onto the difference bounds, then scaled into the ball.  So the
+    value is a lower bound on the supremum, equal to it to solver
+    tolerance; used as a strong-duality oracle against the infimum of
+    ``marginal_objective`` over plans.
     """
-    losses = np.asarray(losses, dtype=float).ravel()
-    n = losses.size
-    max_n = max(PRIMAL_GRID_POINTS)
-    if n > max_n:
-        raise ValueError(f"primal_inner_sup is combinatorial; n={n} exceeds {max_n}")
+    from scipy.optimize import minimize
+
     if spec.p <= 1.0:
         raise ValueError("primal_inner_sup needs p > 1")
-    grid_points = PRIMAL_GRID_POINTS[n]
-    q = spec.q
-    bound = penalty_coefficient(spec) * np.asarray(dist, dtype=float)
+    losses = np.asarray(losses, dtype=float).ravel()
+    n = losses.size
     coef = (losses - eta) / n
-    hmax = n ** (1.0 / q)
-
-    lo = np.zeros(n)
-    hi = np.full(n, hmax)
-    best_val = 0.0
-    best_h = np.zeros(n)
-    for _ in range(PRIMAL_LEVELS):
-        axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(n)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        raw = mesh @ coef
-        # largest feasible scale along each grid direction
-        norm_q = np.mean(mesh**q, axis=1) ** (1.0 / q)
-        with np.errstate(divide="ignore"):
-            t = np.where(norm_q > 0, 1.0 / norm_q, np.inf)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                diff = mesh[:, i] - mesh[:, j]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    tpair = np.where(diff > 1e-14, bound[i, j] / diff, np.inf)
-                np.minimum(t, tpair, out=t)
-        t[~np.isfinite(t)] = 0.0
-        vals = t * raw
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_h = t[k] * mesh[k]
-        spacing = (hi - lo) / (grid_points - 1)
-        if np.max(spacing) < 1e-14:
-            break
-        lo = np.clip(best_h - 2.0 * spacing, 0.0, hmax)
-        hi = np.clip(best_h + 2.0 * spacing, 0.0, hmax)
-        hi = np.maximum(hi, lo + 1e-15)
-    return best_val
+    if not np.any(coef > 0):
+        return 0.0  # h = 0 is optimal
+    q = spec.q
+    ball = (spec.p - 1.0) ** (q - 1.0)  # R^q
+    bound = penalty_coefficient(spec) * np.asarray(dist, dtype=float)
+    constraints = [{"type": "ineq", "fun": lambda h: ball - np.mean(h**q),
+                    "jac": lambda h: -q / n * h ** (q - 1.0)}]
+    if n > 1:
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        rows = np.eye(n)[j] - np.eye(n)[i]
+        constraints.append({"type": "ineq", "fun": lambda h: bound[i, j] + rows @ h,
+                            "jac": lambda h: rows})
+    res = minimize(lambda h: -coef @ h, np.zeros(n), jac=lambda h: -coef, method="SLSQP",
+                   bounds=[(0.0, None)] * n, constraints=constraints,
+                   options={"ftol": 1e-12, "maxiter": 1000})
+    h = np.maximum(res.x, 0.0)
+    for _ in range(n):
+        h = np.minimum(h, np.min(h + bound, axis=1))
+    mean_q = np.mean(h**q)
+    if mean_q > ball:
+        h *= (ball / mean_q) ** (1.0 / q)
+    return float(coef @ h)
 
 
 def _require_eps(spec: RobustSpec) -> float:
@@ -395,7 +377,7 @@ def _hinge_block(adjusted, p: float) -> float:
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
 
 
-def _plan_pass(n: int, block_fn, pen: np.ndarray | None = None):
+def _plan_pass(n: int, block_fn, pen: np.ndarray):
     """(c, <pen, B>) of an n x n plan B from one pass over its fixed row blocks.
 
     ``block_fn(r0, r1, scratch)`` returns rows r0:r1 of the plan, after
@@ -405,9 +387,8 @@ def _plan_pass(n: int, block_fn, pen: np.ndarray | None = None):
     penalty partials are taken per block in float64.  Column sums run down
     the rows in block order: whichever worker finishes the next block due
     adds it, and any finished blocks queued behind it, so no worker waits.
-    c thus has the bits of (B.sum(axis=1) - B.sum(axis=0)) / n with float64
-    accumulators, penalty partials add in block order, and nothing depends
-    on the worker count.  Scratch is allocated here, not in the pool
+    c thus has the bits of ``plan_adjustments(B)``, penalty partials add in
+    block order, and nothing depends on the worker count.  Scratch is allocated here, not in the pool
     threads, so no pool thread's heap grows by a block.
     """
     starts = range(0, n, BLOCK_ROWS)
@@ -425,8 +406,7 @@ def _plan_pass(n: int, block_fn, pen: np.ndarray | None = None):
         r1 = min(r0 + BLOCK_ROWS, n)
         blk = block_fn(r0, r1, scratch)
         rows[r0:r1] = blk.sum(axis=1, dtype=np.float64)
-        if pen is not None:
-            penalties[i] = float(np.einsum("ij,ij->", blk, pen[r0:r1], dtype=np.float64))
+        penalties[i] = float(np.einsum("ij,ij->", blk, pen[r0:r1], dtype=np.float64))
         with lock:
             finished[i] = blk
             if adding:

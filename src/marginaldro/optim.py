@@ -219,8 +219,7 @@ class ObjectiveFunction:
                 "bounded_holder": _bounded_holder, "rkhs": _rkhs}
 
 
-def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
-          kernel: KernelSpec | None = None) -> TrainResult:
+def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig) -> TrainResult:
     """Minimize the configured objective; returns the best iterate.
 
     The trace holds the running-best objective value per iteration, hence is
@@ -231,7 +230,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig,
     the zero plan and passes the best iterate as ``keep``, so the step
     writes around it and the best plan is never copied.
     """
-    fn = ObjectiveFunction(dataset, kind, spec, opt.objective, kernel, opt.ridge)
+    fn = ObjectiveFunction(dataset, kind, spec, opt.objective, ridge=opt.ridge)
     spec = fn.spec
     n = dataset.n
 

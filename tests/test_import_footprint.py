@@ -1,10 +1,11 @@
 """Which commands load scipy.
 
-Only the conditional-risk oracle (``scipy.special.erf``) and the logistic
-loss (``scipy.special.expit``) need scipy, and they import it on first use:
-importing the package or its CLI, and every other command, leaves it
-unloaded.  Each check runs in a fresh interpreter, since this one has
-imported scipy long ago.
+Only the conditional-risk oracle (``scipy.special.erf``), the logistic
+loss (``scipy.special.expit``) and the strong-duality oracle
+``objectives.primal_inner_sup`` (``scipy.optimize``) need scipy, and they
+import it on first use: importing the package or its CLI, and every other
+command, leaves it unloaded.  Each check runs in a fresh interpreter, since
+this one has imported scipy long ago.
 """
 
 import json
