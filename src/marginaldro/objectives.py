@@ -22,6 +22,7 @@ functions here are the references it is checked against.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -60,6 +61,18 @@ MEMORY_BYTES = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
                 else None)
 
 
+def dense_array(shape, dtype=np.float64) -> np.ndarray:
+    """A zero array in an anonymous memory map of its own, as every n x n array
+    is made: malloc reused freed blocks by the order of earlier frees, so peak
+    memory varied by a plan's bytes between runs; a map goes with its array."""
+    count = int(np.prod(shape))
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # POSIX
+    buf = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1), **private)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large arrays
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 def squared_distances(features: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances ||x_i - x_j||^2, zero on the diagonal.
 
@@ -68,11 +81,10 @@ def squared_distances(features: np.ndarray) -> np.ndarray:
     """
     x = np.atleast_2d(np.asarray(features, dtype=float))
     sq = np.sum(x * x, axis=1)
-    d2 = np.add.outer(sq, sq)
-    xx = x @ x.T
+    d2 = np.add.outer(sq, sq, out=dense_array((sq.size,) * 2))
+    xx = np.matmul(x, x.T, out=dense_array((sq.size,) * 2))
     xx *= 2.0
     d2 -= xx
-    del xx
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -196,14 +208,18 @@ class DensePlanStep:
     """
 
     def __init__(self, pen_dist: np.ndarray):
-        self.dtype = plan_dtype(pen_dist.shape[0])
-        self.pen_dist = pen_dist.astype(self.dtype, copy=False)
+        n = pen_dist.shape[0]
+        self.dtype = plan_dtype(n)
+        self.pen_dist = dense_array(pen_dist.shape, self.dtype)
+        self.pen_dist[...] = pen_dist
+        workers = min(WORKERS, -(-n // BLOCK_ROWS))  # at most one per row block
+        self._scratches = dense_array((workers, min(BLOCK_ROWS, n) + 1, n))
         self._spare = None
         self._stats = (None, None, None)  # (plan plan_step wrote, c, penalty)
 
     def zeros(self) -> np.ndarray:
         """A zero plan in the step's shape and dtype."""
-        return np.zeros(self.pen_dist.shape, dtype=self.dtype)
+        return dense_array(self.pen_dist.shape, self.dtype)
 
     def statistics(self, plan: np.ndarray):
         """(c, <pen_dist, B>) of ``plan``, both accumulated in float64.
@@ -215,7 +231,7 @@ class DensePlanStep:
         if plan is self._stats[0]:
             return self._stats[1:]
         plan = np.asarray(plan)
-        return _plan_pass(plan.shape[0], lambda r0, r1, scratch: plan[r0:r1], self.pen_dist)
+        return _plan_pass(lambda r0, r1, scratch: plan[r0:r1], self.pen_dist, self._scratches)
 
     def plan_grad(self, vec) -> np.ndarray:
         """The plan gradient as a new n x n array; no solver builds it, it is
@@ -245,7 +261,7 @@ class DensePlanStep:
         out = plan
         if plan is keep:
             if self._spare is None or self._spare is plan:
-                self._spare = np.empty_like(plan)
+                self._spare = dense_array(plan.shape, plan.dtype)
             out, self._spare = self._spare, plan
         n = plan.shape[0]
         scale = step * n * n
@@ -260,7 +276,7 @@ class DensePlanStep:
             blk -= pen
             return np.maximum(blk, 0.0, out=blk)
 
-        c, penalty = _plan_pass(n, block, self.pen_dist)
+        c, penalty = _plan_pass(block, self.pen_dist, self._scratches)
         self._stats = (out, c, penalty)
         return out
 
@@ -377,20 +393,21 @@ def _hinge_block(adjusted, p: float) -> float:
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
 
 
-def _plan_pass(n: int, block_fn, pen: np.ndarray):
+def _plan_pass(block_fn, pen: np.ndarray, scratches: np.ndarray):
     """(c, <pen, B>) of an n x n plan B from one pass over its fixed row blocks.
 
     ``block_fn(r0, r1, scratch)`` returns rows r0:r1 of the plan, after
-    writing them if it updates the plan; ``scratch`` is a float64
-    (BLOCK_ROWS + 1, n) array it may use.  The calling thread and up to
-    WORKERS - 1 pool threads claim blocks in order.  Row sums and
-    penalty partials are taken per block in float64.  Column sums run down
-    the rows in block order: whichever worker finishes the next block due
-    adds it, and any finished blocks queued behind it, so no worker waits.
-    c thus has the bits of ``plan_adjustments(B)``, penalty partials add in
-    block order, and nothing depends on the worker count.  Scratch is allocated here, not in the pool
-    threads, so no pool thread's heap grows by a block.
+    writing them if it updates the plan; ``scratch`` is one of the caller's
+    float64 (BLOCK_ROWS + 1, n) ``scratches``, kept so no pass allocates
+    them, and the calling thread and a pool thread per further one claim
+    blocks in order.  Row sums and penalty partials are taken per block in float64.
+    Column sums run down the rows in block order: whichever worker finishes
+    the next block due adds it, and any finished blocks queued behind it,
+    so no worker waits.  c thus has the bits of ``plan_adjustments(B)``,
+    penalty partials add in block order, and nothing depends on the worker
+    count.
     """
+    n = pen.shape[0]
     starts = range(0, n, BLOCK_ROWS)
     rows = np.empty(n)
     penalties = [0.0] * len(starts)
@@ -429,8 +446,6 @@ def _plan_pass(n: int, block_fn, pen: np.ndarray):
             run(i, scratch)
 
     claims = itertools.count()
-    scratches = [np.empty((min(BLOCK_ROWS, n) + 1, n))
-                 for _ in range(min(WORKERS, len(starts)))]
     futures = [_POOL.submit(work, claims, scratch) for scratch in scratches[1:]]
     work(claims, scratches[0])
     # a pool task that never started has nothing left to claim: drop it, so

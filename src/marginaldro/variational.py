@@ -36,7 +36,10 @@ class KernelSpec:
 def median_bandwidth(features: np.ndarray) -> float:
     """Median pairwise distance, the usual default kernel scale."""
     d2 = squared_distances(features)
-    off = d2[np.triu(np.ones(d2.shape, dtype=bool), k=1)]
+    n = d2.shape[0]
+    off = d2.reshape(-1)[:n * (n - 1) // 2]
+    for i in range(n - 1):  # the upper triangle, row by row, to the front of d2
+        off[i * n - i * (i + 1) // 2:][:n - 1 - i] = d2[i, i + 1:]
     med = float(np.sqrt(np.median(off, overwrite_input=True))) if off.size else 1.0
     return med if med > 0 else 1.0
 

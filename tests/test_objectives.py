@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -116,6 +117,19 @@ def test_plan_pass_does_not_wait_for_a_busy_pool(monkeypatch):
         gate.set()
         assert done
         assert np.array_equal(kernel.statistics(done[0])[0], plan_adjustments(done[0]))
+
+
+def test_plan_step_reuses_its_row_block_scratch(monkeypatch):
+    """Each worker's (BLOCK_ROWS + 1, n) scratch is made with the step, not per pass."""
+    monkeypatch.setattr(objectives, "WORKERS", 2)  # the per-block buffers grow with workers
+    kernel, plan, vec = _kernel_and_plan(1100)
+    plan = kernel.plan_step(plan, vec, 0.3)
+    tracemalloc.start()
+    for _ in range(3):
+        plan = kernel.plan_step(plan, vec, 0.3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * (objectives.BLOCK_ROWS + 1) * 1100  # one worker's scratch
 
 
 def test_fused_penalty_accumulates_in_float64():
