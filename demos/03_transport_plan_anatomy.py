@@ -48,6 +48,13 @@ dual, _ = minimize_plan(losses, dist, eta, spec, iters=8000)
 primal = primal_inner_sup(losses, dist, eta, spec)
 print(f"\nstrong duality check: inf over plans {dual:.6f} "
       f"vs primal supremum {primal:.6f}")
+# A postulated confounding level delta prices each unit of plan mass at
+# 2 delta^(p-1)/eps; in the primal it loosens every difference bound by that.
+spec_conf = RobustSpec(alpha0=0.5, p=2.0, lipschitz_ratio=1.0, eps=1.0, delta=0.1)
+dual, _ = minimize_plan(losses, dist, eta, spec_conf, iters=8000)
+primal = primal_inner_sup(losses, dist, eta, spec_conf)
+print(f"at delta = 0.1:       inf over plans {dual:.6f} "
+      f"vs primal supremum {primal:.6f}")
 
 # Adding the threshold eta back in and minimizing over it gives the full
 # training surrogate; at a huge price it coincides with the joint p-norm dual.

@@ -14,9 +14,10 @@ level ``spec.delta`` > 0 adds the entrywise penalty
 joint-DRO solution (B = 0) as delta grows; delta = 0 is the unconfounded
 objective.
 
-``TransportKernel`` is the one implementation the solvers use: surrogate
-value, hinge weights and the fused projected plan step.  The value-only
-functions here are the references it is checked against.
+``TransportKernel`` holds the surrogate value, hinge weights and fused plan
+step of ``marginal`` training and the plan minimizers; ``bounded_holder``
+shares its ``DensePlanStep``, but its value lives in ``optim``.  The
+value-only functions here are the references both are checked against.
 """
 
 from __future__ import annotations
@@ -325,37 +326,59 @@ class TransportKernel(DensePlanStep):
         return value, np.zeros(n), None
 
 
+def _frozen_loss_problem(losses, dist, spec: RobustSpec):
+    """(float64 losses, a float64 copy of the n x n distances, ``spec`` with
+    eps resolved from the losses): the plan problem at fixed losses, as
+    ``primal_inner_sup``, ``minimize_plan`` and ``minimize_eta_plan`` pose it.
+    Raises ValueError at p <= 1 and for distances that are not n x n, for a
+    NaN or inf loss or distance and for a negative distance."""
+    if spec.p <= 1.0:
+        raise ValueError(f"the plan problem needs p > 1, got p = {spec.p:g}; "
+                         "joint_cvar is the p = 1 objective")
+    losses = np.asarray(losses, dtype=float).ravel()
+    dist = np.array(dist, dtype=float)
+    n = losses.size
+    if dist.shape != (n, n):
+        raise ValueError(f"distances {dist.shape} must be {(n, n)} for {n} losses")
+    if not (np.isfinite(losses).all() and np.isfinite(dist).all()):
+        raise ValueError("losses and distances must be finite")
+    if np.any(dist < 0):
+        raise ValueError("distances must be nonnegative")
+    return losses, dist, resolve_eps(spec, losses)
+
+
 def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:
     """Value of the inner supremum the transport dual solves, by one convex solve.
 
     Maximizes (1/n) sum_i h_i (l_i - eta) over h >= 0 with
     mean(h^q) <= R^q, R = (p-1)^(1/p) (the hinge block's factor), and
-    h_i - h_j <= (L^(p-1)/eps) ||x_i - x_j||^(p-1), by SLSQP from h = 0.
-    The solver's point is made feasible before it is scored: clipped at 0,
-    lowered onto the difference bounds, then scaled into the ball.  So the
-    value is a lower bound on the supremum, equal to it to solver
+    h_i - h_j <= (L^(p-1)/eps) ||x_i - x_j||^(p-1) + 2 delta^(p-1)/eps, by
+    SLSQP from h = 0: the bound is the plan cost ``TransportKernel`` folds,
+    and an unset eps is resolved from the losses, as the minimizers do.  The
+    solver's point is made feasible before it is scored: clipped at 0,
+    lowered onto the bounds by n rounds of h_i <- min_j (h_j + bound_ij)
+    (one round is exact only when the bound obeys the triangle inequality,
+    which ||x_i - x_j||^(p-1) breaks at p > 2), then scaled into the ball.
+    So the value is a lower bound on the supremum, equal to it to solver
     tolerance; used as a strong-duality oracle against the infimum of
     ``marginal_objective`` over plans.
     """
     from scipy.optimize import minimize
 
-    if spec.p <= 1.0:
-        raise ValueError("primal_inner_sup needs p > 1")
-    losses = np.asarray(losses, dtype=float).ravel()
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
     n = losses.size
     coef = (losses - eta) / n
     if not np.any(coef > 0):
         return 0.0  # h = 0 is optimal
     q = spec.q
     ball = (spec.p - 1.0) ** (q - 1.0)  # R^q
-    bound = penalty_coefficient(spec) * np.asarray(dist, dtype=float)
+    bound = penalty_coefficient(spec) * dist + confounding_coefficient(spec)
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.eye(n)[j] - np.eye(n)[i]
     constraints = [{"type": "ineq", "fun": lambda h: ball - np.mean(h**q),
-                    "jac": lambda h: -q / n * h ** (q - 1.0)}]
-    if n > 1:
-        i, j = np.nonzero(~np.eye(n, dtype=bool))
-        rows = np.eye(n)[j] - np.eye(n)[i]
-        constraints.append({"type": "ineq", "fun": lambda h: bound[i, j] + rows @ h,
-                            "jac": lambda h: rows})
+                    "jac": lambda h: -q / n * h ** (q - 1.0)},
+                   {"type": "ineq", "fun": lambda h: bound[i, j] + rows @ h,
+                    "jac": lambda h: rows}]
     res = minimize(lambda h: -coef @ h, np.zeros(n), jac=lambda h: -coef, method="SLSQP",
                    bounds=[(0.0, None)] * n, constraints=constraints,
                    options={"ftol": 1e-12, "maxiter": 1000})

@@ -23,6 +23,7 @@ from .objectives import (
     DensePlanStep,
     DISTANCE_BUILD_ARRAYS,
     TransportKernel,
+    _frozen_loss_problem,
     check_memory,
     dense_plan_bytes,
     pairwise_distance_power,
@@ -313,12 +314,11 @@ def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
 
     The frozen-loss descent with eta fixed, alpha0 = 1 and no floor, so the
     surrogate is the bare objective plus eta; the confounding penalty is
-    included when ``spec.delta`` > 0.  Returns (best value, best plan).
+    included when ``spec.delta`` > 0; posed as ``primal_inner_sup`` poses it.
+    Returns (best value, best plan).
     """
-    check_p("marginal", spec)
-    losses = np.asarray(losses, dtype=float).ravel()
-    spec = replace(resolve_eps(spec, losses), alpha0=1.0)
-    kernel = TransportKernel(np.array(dist, dtype=float), spec)
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
+    kernel = TransportKernel(dist, replace(spec, alpha0=1.0))
     kernel.floor = 0.0
     value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0)
     return float(value - eta), plan
@@ -329,12 +329,10 @@ def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
     """Infimum of the floored surrogate over (eta, plan) at fixed losses.
 
     Returns (best value, best eta, best plan) of
-    (1/alpha0) max(objective, eps^(q-1)) + eta.
+    (1/alpha0) max(objective, eps^(q-1)) + eta; posed as ``minimize_plan``.
     """
-    check_p("marginal", spec)
-    losses = np.asarray(losses, dtype=float).ravel()
-    spec = resolve_eps(spec, losses)
-    kernel = TransportKernel(np.array(dist, dtype=float), spec)
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
+    kernel = TransportKernel(dist, spec)
     eta = cvar_dual(losses, spec.alpha0)[1]
     value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0,
                                             eta_bound=_eta_bound(spec, losses))

@@ -168,7 +168,7 @@ def test_criterion_3_strong_duality_small_instances():
         primal = primal_inner_sup(losses, dist, eta, spec)
         worst = max(worst, abs(dual - primal))
     ok = worst <= 1e-3
-    assert report(3, ok, f"inf over plans vs grid supremum, 20 instances with n <= 4: "
+    assert report(3, ok, f"inf over plans vs convex-solve supremum, 20 instances with n <= 4: "
                          f"worst gap {worst:.2e}"), worst
 
 

@@ -372,6 +372,48 @@ def test_primal_inner_sup_closed_form_ends(p):
     assert priced == pytest.approx(radius * np.mean(hinge**p) ** (1.0 / p), abs=1e-9)
 
 
+def test_primal_inner_sup_resolves_an_unset_eps():
+    """Below p = 2 the bound reads eps; an unset eps is resolved from the
+    losses, as the plan minimizers resolve it."""
+    rng = np.random.default_rng(15)
+    n, p, eta = 6, 1.5, 0.3
+    losses = rng.uniform(0, 2, n)
+    dist = pairwise_distance_power(rng.uniform(-1, 1, (n, 2)), p)
+    spec = RobustSpec(alpha0=0.3, p=p, lipschitz_ratio=0.01)
+    primal = primal_inner_sup(losses, dist, eta, spec)
+    assert primal == primal_inner_sup(losses, dist, eta, resolve_eps(spec, losses))
+    dual, _ = minimize_plan(losses, dist, eta, spec, iters=4000)
+    assert dual == pytest.approx(primal, abs=5e-3)
+    hinge = (p - 1.0) ** (1.0 / p) * np.mean(np.maximum(losses - eta, 0.0) ** p) ** (1.0 / p)
+    assert primal < hinge - 0.01  # transport is priced, not priced out
+
+
+FROZEN_LOSS_SOLVERS = {
+    "primal_inner_sup": lambda losses, dist, spec: primal_inner_sup(losses, dist, 0.2, spec),
+    "minimize_plan": lambda losses, dist, spec: minimize_plan(losses, dist, 0.2, spec, iters=2),
+    "minimize_eta_plan": lambda losses, dist, spec: minimize_eta_plan(losses, dist, spec,
+                                                                      iters=2),
+}
+OFF_DIAGONAL = TWO_POINT["dist"]
+BAD_FROZEN_LOSS_INPUTS = {
+    "dist not n x n": ([0.5, 1.0, 1.5], OFF_DIAGONAL, r"must be \(3, 3\)"),
+    "NaN loss": ([0.5, np.nan], OFF_DIAGONAL, "finite"),
+    "inf loss": ([0.5, np.inf], OFF_DIAGONAL, "finite"),
+    "NaN distance": ([0.5, 1.5], np.where(OFF_DIAGONAL > 0, np.nan, 0.0), "finite"),
+    "inf distance": ([0.5, 1.5], np.where(OFF_DIAGONAL > 0, np.inf, 0.0), "finite"),
+    "negative distance": ([0.5, 1.5], -OFF_DIAGONAL, "nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FROZEN_LOSS_INPUTS)
+@pytest.mark.parametrize("solver", FROZEN_LOSS_SOLVERS)
+def test_frozen_loss_solvers_check_their_inputs(solver, case):
+    """The oracle and both plan minimizers share one setup and its checks."""
+    losses, dist, match = BAD_FROZEN_LOSS_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        FROZEN_LOSS_SOLVERS[solver](losses, dist, spec2())
+
+
 def test_inf_plan_monotone_in_lipschitz_ratio():
     rng = np.random.default_rng(7)
     n = 12
@@ -428,15 +470,18 @@ def test_erm_limit():
 
 
 def test_confounding_monotone_in_delta():
+    """The plan infimum rises with delta, and the strong-duality oracle
+    follows it: its difference bounds carry the same price 2 delta^(p-1)/eps."""
     rng = np.random.default_rng(10)
     n = 10
     losses = rng.uniform(0, 2, n)
     dist = pairwise_distance_power(rng.uniform(-1, 1, (n, 2)), 2.0)
     eta = 0.2
     values = []
-    for delta in (0.0, 0.05, 0.5, 50.0):
+    for delta in (0.0, 0.05, 0.3, 0.5, 50.0):
         spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=1.0, eps=0.5, delta=delta)
         val, plan = minimize_plan(losses, dist, eta, spec, iters=4000)
+        assert val == pytest.approx(primal_inner_sup(losses, dist, eta, spec), abs=5e-3)
         values.append(val)
     assert all(values[i] <= values[i + 1] + 1e-6 for i in range(len(values) - 1))
     # delta = 0 coincides with the unconfounded infimum
