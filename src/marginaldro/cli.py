@@ -30,7 +30,7 @@ import numpy as np
 from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT
 from .duals import RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
-from .model import Dataset, ParamVector
+from .model import ROW_BLOCK, Dataset, ParamVector, _row_blocks
 from .optim import OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, OptimizerConfig, train
 from .tuning import cross_validate
 
@@ -42,9 +42,6 @@ CONFIG_KEYS = ("objective", "loss", "alpha0", "p", "lipschitz_ratio", "eps", "de
                "alphas")
 
 EVAL_ALPHAS_DEFAULT = "0.05,0.1,0.15,0.3,0.5,1.0"
-
-# dataset CSV rows formatted per write; bounds the writer's memory
-CSV_CHUNK_ROWS = 4096
 
 
 class UsageError(Exception):
@@ -186,8 +183,8 @@ def write_dataset_csv(dataset: Dataset, path):
     """Header x0..x{d-1},y[,z][,c][,y_rep0..]; numeric cells, LF endings.
 
     Cells are ``repr`` of the float64 values.  Rows are formatted and written
-    ``CSV_CHUNK_ROWS`` at a time, so memory beyond the dataset itself stays
-    bounded by the chunk, not by n.
+    ``model.ROW_BLOCK`` at a time, so memory beyond the dataset itself stays
+    bounded by the row block, not by n.
     """
     cols = [f"x{i}" for i in range(dataset.d)] + ["y"]
     mats = [dataset.features, dataset.labels[:, None]]
@@ -211,11 +208,11 @@ def write_dataset_csv(dataset: Dataset, path):
 def _write_csv_chunks(fh, cols, mats, n):
     fh.write(",".join(cols) + "\n")
     row_fmt = ",".join(["%r"] * len(cols)) + "\n"
-    block = np.empty((min(n, CSV_CHUNK_ROWS), len(cols)))
+    block = np.empty((min(n, ROW_BLOCK), len(cols)))
     chunk_fmt = row_fmt * len(block)
-    for lo in range(0, n, len(block)):
-        part = block[:n - lo]
-        np.concatenate([mat[lo:lo + len(part)] for mat in mats], axis=1, out=part)
+    for rows in _row_blocks(n):
+        part = block[:rows.stop - rows.start]
+        np.concatenate([mat[rows] for mat in mats], axis=1, out=part)
         fmt = chunk_fmt if len(part) == len(block) else row_fmt * len(part)
         fh.write(fmt % tuple(part.ravel().tolist()))
 

@@ -13,6 +13,13 @@ Rows with X1 < 0 form the noiseless minority group (Y = |X1| exactly).
 PCG64 with SeedSequence-spawned streams per column, so for the same spec the
 covariates are bit-identical, and ``generate`` is ``generate_replicates``
 with m = 1 less its replicate column.
+
+A draw allocates each output once; beside them it holds n-vectors (x1 and
+its temporaries) and one row block of scratch: the feature matrix is filled
+``model.ROW_BLOCK`` rows at a time, and the labels are finished in place.
+``conditional_risks`` turns its predictions into risks in place, one row
+block at a time.  The bits are those of the whole-array formulas the tests
+keep as references.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ParamVector
+from .model import Dataset, ParamVector, _row_blocks
 
 VARIANTS = ("toy_1d", "simdist", "confounded")
 
@@ -58,24 +65,29 @@ def _draw(spec: SimSpec, m: int):
     """Covariates and m label draws per row: (features, replicates, z, confounder).
 
     Each column has its own SeedSequence-spawned stream, so the covariates do
-    not depend on m.
+    not depend on m.  X2..Xd are drawn ``ROW_BLOCK`` rows at a time: a
+    float draw takes one value per element, so split by rows it keeps its
+    stream.
     """
     z_seq, x1_seq, rest_seq, y_seq = np.random.SeedSequence(spec.seed).spawn(4)
     z = (np.random.default_rng(z_seq).random(spec.n) < spec.alpha_true).astype(float)
     x1 = (1.0 - 2.0 * z) * np.random.default_rng(x1_seq).random(spec.n)
-    features = x1[:, None]
-    if spec.d > 1:  # X2..Xd only as a temporary, freed before the labels are drawn
-        rng_rest, shape = np.random.default_rng(rest_seq), (spec.n, spec.d - 1)
-        features = np.column_stack([x1, rng_rest.random(shape) if spec.variant == "confounded"
-                                    else rng_rest.uniform(-1.0, 1.0, size=shape)])
-    right = (x1 >= 0)[:, None]
+    features = np.empty((spec.n, spec.d))
+    features[:, 0] = x1
+    rng_rest = np.random.default_rng(rest_seq)
+    for rows in _row_blocks(spec.n):
+        shape = (rows.stop - rows.start, spec.d - 1)
+        features[rows, 1:] = (rng_rest.random(shape) if spec.variant == "confounded"
+                              else rng_rest.uniform(-1.0, 1.0, size=shape))
     rng_y = np.random.default_rng(y_seq)
     if spec.variant == "confounded":
         conf = rng_y.choice(CONFOUNDER_SUPPORT, size=spec.n)
-        reps = np.tile(np.abs(x1)[:, None] + right * conf[:, None], (1, m))
-        return features, reps, z, conf
-    reps = np.abs(x1)[:, None] + right * rng_y.standard_normal((spec.n, m))
-    return features, reps, z, None
+        reps = np.repeat(conf[:, None], m, axis=1)
+    else:
+        conf, reps = None, rng_y.standard_normal((spec.n, m))
+    reps *= (x1 >= 0)[:, None]
+    reps += np.abs(x1)[:, None]
+    return features, reps, z, conf
 
 
 def generate(spec: SimSpec) -> Dataset:
@@ -114,10 +126,12 @@ def conditional_risks(params: ParamVector, features, variant: str) -> np.ndarray
     from scipy.special import erf
 
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    pred = params.predict(features)
-    x1 = features[:, 0]
-    # left group: Y = |x1| exactly; right group: Y = x1 + N(0,1), and
-    # E|mu - eps| for eps ~ N(0,1) is the folded-normal mean
-    mu = pred - x1
-    folded = _SQRT_2_OVER_PI * np.exp(-0.5 * mu**2) + mu * erf(mu / np.sqrt(2.0))
-    return np.where(x1 < 0, np.abs(pred - np.abs(x1)), folded)
+    risks = params.predict(features)
+    for rows in _row_blocks(len(risks)):  # each block's predictions become its risks
+        pred, x1 = risks[rows], features[rows, 0]
+        # left group: Y = |x1| exactly; right group: Y = x1 + N(0,1), and
+        # E|mu - eps| for eps ~ N(0,1) is the folded-normal mean
+        mu = pred - x1
+        folded = _SQRT_2_OVER_PI * np.exp(-0.5 * mu**2) + mu * erf(mu / np.sqrt(2.0))
+        risks[rows] = np.where(x1 < 0, np.abs(pred - np.abs(x1)), folded)
+    return risks

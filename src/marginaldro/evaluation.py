@@ -5,6 +5,10 @@ variants only), the replicate estimate (per-row mean losses over repeated
 labels, optionally conditioned on a confounder value), and the joint route
 over raw per-example losses (no conditional-risk estimation; always an
 upper bound on the other two).
+
+The replicate route takes the per-row means ``model.ROW_BLOCK`` rows at a
+time, so it makes no n x m loss matrix; ``loss_matrix`` makes one, for
+callers that want every loss, and turns its residuals into losses in place.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from .datagen import conditional_risks
 from .duals import cvar_dual
-from .model import Dataset, ParamVector, loss_values, pointwise_losses, _check_kind
+from .model import (Dataset, ParamVector, loss_values, pointwise_losses, _check_kind,
+                    _row_blocks)
 
 ORACLE_EVAL_ROWS = 20000
 
@@ -69,7 +74,12 @@ def eval_replicates(params: ParamVector, dataset: Dataset, kind: str, alphas,
     """
     if dataset.replicates is None:
         raise ValueError("dataset has no replicates")
-    losses = loss_matrix(kind, params, dataset.features, dataset.replicates)
+    _check_kind(kind)
+    pred = params.predict(dataset.features)
+    means = np.empty_like(pred)
+    for rows in _row_blocks(dataset.n):  # no n x m loss matrix: one block of rows at a time
+        means[rows] = pointwise_losses(kind, pred[rows, None],
+                                       dataset.replicates[rows]).mean(axis=1)
     tag = "replicates"
     if condition is not None:
         if dataset.confounder is None:
@@ -77,9 +87,9 @@ def eval_replicates(params: ParamVector, dataset: Dataset, kind: str, alphas,
         mask = np.isclose(dataset.confounder, condition, atol=1e-9)
         if not mask.any():
             raise ValueError(f"no rows have confounder value {condition}")
-        losses = losses[mask]
+        means = means[mask]
         tag = f"replicates|c={condition:g}"
-    return _sweep(losses.mean(axis=1), alphas, tag)
+    return _sweep(means, alphas, tag)
 
 
 def eval_joint(params: ParamVector, dataset: Dataset, kind: str, alphas) -> RiskReport:
@@ -122,7 +132,8 @@ def eval_group_split(params: ParamVector, dataset: Dataset, kind: str,
 
 
 def loss_matrix(kind: str, params: ParamVector, features, replicates) -> np.ndarray:
-    """Per-(row, replicate) losses, vectorized over the replicate matrix."""
+    """Per-(row, replicate) losses, vectorized over the replicate matrix; the
+    residual matrix becomes the losses in place, so one n x m array is made."""
     _check_kind(kind)
     return pointwise_losses(kind, params.predict(features)[:, None],
                             np.asarray(replicates, dtype=float))

@@ -18,6 +18,16 @@ ZERO_ONE = "zero_one"
 LOSS_KINDS = (ABSOLUTE, LOGISTIC, ZERO_ONE)
 TRAINABLE_LOSS_KINDS = (ABSOLUTE, LOGISTIC)
 
+# rows per block of scratch where a whole-sample pass works in row blocks:
+# the dataset CSV writer, the covariate draw, the conditional risks and the
+# per-row replicate means
+ROW_BLOCK = 4096
+
+
+def _row_blocks(n):
+    """Slices of ROW_BLOCK consecutive rows (the last one shorter) covering n rows."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+
 
 def _check_kind(kind, trainable=False):
     allowed = TRAINABLE_LOSS_KINDS if trainable else LOSS_KINDS
@@ -105,7 +115,9 @@ class ParamVector:
                 f"feature dimension {features.shape[1]} does not match "
                 f"parameter dimension {self.theta.shape[0]}"
             )
-        return features @ self.theta + self.intercept
+        pred = features @ self.theta
+        pred += self.intercept
+        return pred
 
 
 def loss_values(kind: str, params: ParamVector, features: np.ndarray,
@@ -142,7 +154,8 @@ def pointwise_losses(kind: str, pred: np.ndarray, labels: np.ndarray) -> np.ndar
         _check_binary_labels(labels)
         yhat = np.where(pred >= 0, 1.0, -1.0)
         return (yhat != labels).astype(float)
-    return _losses(kind, _residual(kind, pred, labels))
+    r = _residual(kind, pred, labels)
+    return _losses(kind, r, out=r)
 
 
 def _prediction(params, features, labels):
@@ -157,8 +170,8 @@ def _residual(kind, pred, labels):
     return -labels * pred
 
 
-def _losses(kind, r):
-    return np.abs(r) if kind == ABSOLUTE else np.logaddexp(0.0, r)
+def _losses(kind, r, out=None):
+    return np.abs(r, out=out) if kind == ABSOLUTE else np.logaddexp(0.0, r, out=out)
 
 
 def _slopes(kind, r, labels):

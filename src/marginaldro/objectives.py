@@ -326,15 +326,18 @@ class TransportKernel(DensePlanStep):
         return value, np.zeros(n), None
 
 
-def _frozen_loss_problem(losses, dist, spec: RobustSpec):
+def _frozen_loss_problem(losses, dist, spec: RobustSpec, eta: float = 0.0):
     """(float64 losses, a float64 copy of the n x n distances, ``spec`` with
     eps resolved from the losses): the plan problem at fixed losses, as
     ``primal_inner_sup``, ``minimize_plan`` and ``minimize_eta_plan`` pose it.
-    Raises ValueError at p <= 1 and for distances that are not n x n, for a
-    NaN or inf loss or distance and for a negative distance."""
+    Raises ValueError at p <= 1, for a NaN or inf ``eta`` (the fixed eta of
+    the first two), for distances that are not n x n, for a NaN or inf loss
+    or distance and for a negative distance."""
     if spec.p <= 1.0:
         raise ValueError(f"the plan problem needs p > 1, got p = {spec.p:g}; "
                          "joint_cvar is the p = 1 objective")
+    if not np.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
     losses = np.asarray(losses, dtype=float).ravel()
     dist = np.array(dist, dtype=float)
     n = losses.size
@@ -365,7 +368,7 @@ def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:
     """
     from scipy.optimize import minimize
 
-    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec, eta)
     n = losses.size
     coef = (losses - eta) / n
     if not np.any(coef > 0):

@@ -317,7 +317,7 @@ def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
     included when ``spec.delta`` > 0; posed as ``primal_inner_sup`` poses it.
     Returns (best value, best plan).
     """
-    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec, eta)
     kernel = TransportKernel(dist, replace(spec, alpha0=1.0))
     kernel.floor = 0.0
     value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0)

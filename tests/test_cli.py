@@ -9,13 +9,12 @@ import pytest
 import marginaldro.objectives as objectives
 from marginaldro import cli, tuning
 from marginaldro.cli import (
-    CSV_CHUNK_ROWS,
     main,
     read_dataset_csv,
     read_model,
     write_dataset_csv,
 )
-from marginaldro.model import Dataset
+from marginaldro.model import ROW_BLOCK, Dataset
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -97,7 +96,7 @@ COLUMN_SETS = {"xy": dict(group=False, confounder=False, replicates=0),
                "xy_rep": dict(group=False, confounder=False, replicates=2)}
 
 
-@pytest.mark.parametrize("n", [1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1])
 @pytest.mark.parametrize("columns", sorted(COLUMN_SETS))
 def test_write_dataset_csv_matches_whole_file_text(tmp_path, n, columns):
     ds = random_dataset(n, **COLUMN_SETS[columns])
@@ -113,7 +112,7 @@ def test_write_dataset_csv_matches_whole_file_text(tmp_path, n, columns):
 
 
 def test_write_dataset_csv_to_stdout(capsys):
-    ds = random_dataset(CSV_CHUNK_ROWS + 1, seed=1)
+    ds = random_dataset(ROW_BLOCK + 1, seed=1)
     write_dataset_csv(ds, "-")
     assert capsys.readouterr().out == whole_file_csv_text(ds)
 

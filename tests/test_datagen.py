@@ -1,14 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from marginaldro.datagen import (
     CONFOUNDER_SUPPORT,
+    VARIANTS,
     SimSpec,
     conditional_risks,
     generate,
     generate_replicates,
 )
-from marginaldro.model import ParamVector
+import marginaldro.model as model
+from marginaldro.model import ROW_BLOCK, ParamVector
+
+# row counts on both sides of the row-block edges
+BLOCK_EDGE_NS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1]
 
 
 def test_spec_validation():
@@ -140,3 +147,90 @@ def test_oracle_matches_monte_carlo():
         else:
             mc = np.mean(np.abs(pred - (x[0] + eps)))
         assert exact == pytest.approx(mc, abs=0.01)
+
+
+def whole_array_draw(spec, m):
+    """The whole-array draw that row blocks replaced: (features, replicates, z,
+    confounder), the bitwise reference for ``generate_replicates``."""
+    z_seq, x1_seq, rest_seq, y_seq = np.random.SeedSequence(spec.seed).spawn(4)
+    z = (np.random.default_rng(z_seq).random(spec.n) < spec.alpha_true).astype(float)
+    x1 = (1.0 - 2.0 * z) * np.random.default_rng(x1_seq).random(spec.n)
+    features = x1[:, None]
+    if spec.d > 1:
+        rng_rest, shape = np.random.default_rng(rest_seq), (spec.n, spec.d - 1)
+        features = np.column_stack([x1, rng_rest.random(shape) if spec.variant == "confounded"
+                                    else rng_rest.uniform(-1.0, 1.0, size=shape)])
+    right = (x1 >= 0)[:, None]
+    rng_y = np.random.default_rng(y_seq)
+    if spec.variant == "confounded":
+        conf = rng_y.choice(CONFOUNDER_SUPPORT, size=spec.n)
+        reps = np.tile(np.abs(x1)[:, None] + right * conf[:, None], (1, m))
+        return features, reps, z, conf
+    return features, np.abs(x1)[:, None] + right * rng_y.standard_normal((spec.n, m)), z, None
+
+
+def whole_array_conditional_risks(params, features):
+    """The whole-array conditional risks that row blocks replaced."""
+    from scipy.special import erf
+
+    pred = features @ params.theta + params.intercept
+    x1 = features[:, 0]
+    mu = pred - x1
+    folded = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * mu**2) + mu * erf(mu / np.sqrt(2.0))
+    return np.where(x1 < 0, np.abs(pred - np.abs(x1)), folded)
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+DRAW_CASES = [(v, d) for v in VARIANTS for d in (1, 2, 20) if v != "toy_1d" or d == 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+@pytest.mark.parametrize("variant,d", DRAW_CASES)
+def test_row_block_draw_has_the_whole_array_bits(variant, d, n):
+    spec = SimSpec(n=n, d=d, variant=variant, seed=n + d)
+    for m in (1, 3):
+        features, reps, z, conf = whole_array_draw(spec, m)
+        ds = generate_replicates(spec, m)
+        assert same_bits(ds.replicates, reps) and same_bits(ds.labels, reps[:, 0]), m
+        for got in (ds, generate(spec)):
+            assert same_bits(got.features, features) and same_bits(got.group, z)
+            assert (got.confounder is None if conf is None
+                    else same_bits(got.confounder, conf))
+    assert same_bits(generate(spec).labels, whole_array_draw(spec, 1)[1][:, 0])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("variant,d", DRAW_CASES)
+def test_draw_bits_do_not_depend_on_the_row_block(monkeypatch, variant, d, block):
+    """The draw's bits do not depend on the block size, odd sizes included."""
+    monkeypatch.setattr(model, "ROW_BLOCK", block)
+    spec = SimSpec(n=40, d=d, variant=variant, seed=block)
+    features, reps, z, conf = whole_array_draw(spec, 3)
+    ds = generate_replicates(spec, 3)
+    assert same_bits(ds.features, features) and same_bits(ds.replicates, reps)
+    assert same_bits(ds.group, z)
+    assert ds.confounder is None if conf is None else same_bits(ds.confounder, conf)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+@pytest.mark.parametrize("variant,d", [("toy_1d", 1), ("simdist", 3)])
+def test_row_block_conditional_risks_have_the_whole_array_bits(variant, d, n):
+    features = generate(SimSpec(n=n, d=d, variant=variant, seed=n)).features
+    params = ParamVector(np.linspace(1.2, -0.4, d), 0.1)
+    assert same_bits(conditional_risks(params, features, variant),
+                     whole_array_conditional_risks(params, features))
+
+
+def test_generate_peak_memory_near_its_output():
+    """A 10^6-row draw allocates its arrays once plus a row block of scratch."""
+    tracemalloc.start()
+    try:
+        ds = generate(SimSpec(n=10**6, d=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = ds.features.nbytes + ds.labels.nbytes + ds.group.nbytes
+    assert peak <= 1.25 * returned, peak / returned

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from marginaldro.evaluation import (
     eval_replicates,
     loss_matrix,
 )
-from marginaldro.model import Dataset, ParamVector, loss_values
+from marginaldro.duals import cvar_dual
+from marginaldro.model import ROW_BLOCK, Dataset, ParamVector, loss_values
 
 ALPHAS = (0.05, 0.1, 0.3, 0.5, 1.0)
 
@@ -141,3 +144,66 @@ def test_eval_group_split():
     with pytest.raises(ValueError):
         eval_group_split(p, Dataset(np.column_stack([x, x]), labels), "zero_one",
                          columns=[1])
+
+
+def whole_array_loss_matrix(kind, params, features, replicates):
+    """The per-(row, replicate) losses as whole arrays, before any in-place step."""
+    pred = (features @ params.theta + params.intercept)[:, None]
+    if kind == "zero_one":
+        return (np.where(pred >= 0, 1.0, -1.0) != replicates).astype(float)
+    if kind == "logistic":
+        return np.logaddexp(0.0, -replicates * pred)
+    return np.abs(pred - replicates)
+
+
+def whole_array_replicate_report(kind, params, ds, alphas, condition=None):
+    """(risks, mean risk) of ``eval_replicates`` from one whole n x m loss matrix."""
+    losses = whole_array_loss_matrix(kind, params, ds.features, ds.replicates)
+    if condition is not None:
+        losses = losses[np.isclose(ds.confounder, condition, atol=1e-9)]
+    means = losses.mean(axis=1)
+    return (np.array([cvar_dual(means, a)[0] for a in np.sort(alphas)]),
+            float(np.mean(means)))
+
+
+def replicate_case(kind, n):
+    ds = generate_replicates(SimSpec(n=n, d=3, variant="confounded", seed=n), m=5)
+    if kind != "absolute_deviation":
+        signs = np.where(ds.replicates > 0.5, 1.0, -1.0)
+        ds = Dataset(ds.features, signs[:, 0], replicates=signs, confounder=ds.confounder)
+    return ds, ParamVector([0.9, -0.3, 0.2], 0.05)
+
+
+LOSS_KINDS = ("absolute_deviation", "logistic", "zero_one")
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_matrix_has_the_whole_array_bits(kind):
+    ds, p = replicate_case(kind, ROW_BLOCK + 1)
+    got = loss_matrix(kind, p, ds.features, ds.replicates)
+    want = whole_array_loss_matrix(kind, p, ds.features, ds.replicates)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("condition", [None, 0.5])
+@pytest.mark.parametrize("n", [ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 1])
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_row_block_replicate_means_have_the_whole_array_bits(kind, n, condition):
+    ds, p = replicate_case(kind, n)
+    report = eval_replicates(p, ds, kind, ALPHAS, condition=condition)
+    risks, mean_risk = whole_array_replicate_report(kind, p, ds, ALPHAS, condition)
+    assert report.risks.tobytes() == risks.tobytes()
+    assert report.mean_risk == mean_risk
+
+
+def test_eval_replicates_peak_memory_below_half_a_loss_matrix():
+    """Per-row replicate means are taken a row block at a time, so no n x m
+    loss matrix is made."""
+    ds = generate_replicates(SimSpec(n=10**5, d=2, variant="simdist", seed=4), m=50)
+    tracemalloc.start()
+    try:
+        eval_replicates(ParamVector([0.8, 0.1]), ds, "absolute_deviation", ALPHAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * ds.replicates.nbytes, peak / ds.replicates.nbytes

@@ -414,6 +414,22 @@ def test_frozen_loss_solvers_check_their_inputs(solver, case):
         FROZEN_LOSS_SOLVERS[solver](losses, dist, spec2())
 
 
+NON_FINITE_ETAS = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("eta", NON_FINITE_ETAS)
+def test_primal_inner_sup_rejects_a_non_finite_eta(eta):
+    """A NaN eta is not read as "no positive coefficient", a supremum of 0."""
+    with pytest.raises(ValueError, match="eta must be finite"):
+        primal_inner_sup(TWO_POINT["losses"], TWO_POINT["dist"], eta, spec2())
+
+
+@pytest.mark.parametrize("eta", NON_FINITE_ETAS)
+def test_minimize_plan_rejects_a_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta must be finite"):
+        minimize_plan(TWO_POINT["losses"], TWO_POINT["dist"], eta, spec2(), iters=2)
+
+
 def test_inf_plan_monotone_in_lipschitz_ratio():
     rng = np.random.default_rng(7)
     n = 12
