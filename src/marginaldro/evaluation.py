@@ -6,9 +6,9 @@ labels, optionally conditioned on a confounder value), and the joint route
 over raw per-example losses (no conditional-risk estimation; always an
 upper bound on the other two).
 
-The replicate route takes the per-row means ``model.ROW_BLOCK`` rows at a
-time, so it makes no n x m loss matrix; ``loss_matrix`` makes one, for
-callers that want every loss, and turns its residuals into losses in place.
+The replicate route, also ``tuning``'s grid-point score, takes per-row means
+``model.ROW_BLOCK`` rows at a time, with no n x m loss matrix.  ``loss_matrix``,
+the public every-loss matrix and the tests' reference, has no package caller.
 """
 
 from __future__ import annotations

@@ -19,14 +19,20 @@ LOSS_KINDS = (ABSOLUTE, LOGISTIC, ZERO_ONE)
 TRAINABLE_LOSS_KINDS = (ABSOLUTE, LOGISTIC)
 
 # rows per block of scratch where a whole-sample pass works in row blocks:
-# the dataset CSV writer, the covariate draw, the conditional risks and the
-# per-row replicate means
+# the dataset CSV writer, the covariate draw, the conditional risks, the
+# per-row replicate means and the finiteness checks of a Dataset
 ROW_BLOCK = 4096
 
 
 def _row_blocks(n):
     """Slices of ROW_BLOCK consecutive rows (the last one shorter) covering n rows."""
     return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+
+
+def _require_finite(message, *arrays):
+    """Raise ValueError(message) unless all entries are finite, checked by row blocks."""
+    if not all(np.isfinite(a[rows]).all() for a in arrays for rows in _row_blocks(len(a))):
+        raise ValueError(message)
 
 
 def _check_kind(kind, trainable=False):
@@ -66,22 +72,19 @@ class Dataset:
             raise ValueError(f"need n >= 1 and d >= 1, got features of shape {(n, d)}")
         if self.labels.shape != (n,):
             raise ValueError(f"labels shape {self.labels.shape} does not match n={n}")
-        if not np.isfinite(self.features).all() or not np.isfinite(self.labels).all():
-            raise ValueError("features and labels must be finite")
+        _require_finite("features and labels must be finite", self.features, self.labels)
         if self.replicates is not None:
             self.replicates = np.atleast_2d(np.asarray(self.replicates, dtype=float))
             if self.replicates.shape[0] != n:
                 raise ValueError("replicates must have one row per example")
-            if not np.isfinite(self.replicates).all():
-                raise ValueError("replicates must be finite")
+            _require_finite("replicates must be finite", self.replicates)
         for name in ("group", "confounder"):
             col = getattr(self, name)
             if col is not None:
                 col = np.asarray(col, dtype=float).ravel()
                 if col.shape != (n,):
                     raise ValueError(f"{name} must have exactly n={n} entries")
-                if not np.isfinite(col).all():
-                    raise ValueError(f"{name} must be finite")
+                _require_finite(f"{name} must be finite", col)
                 setattr(self, name, col)
         if self.group is not None and not np.isin(self.group, (0.0, 1.0)).all():
             raise ValueError("group entries must be 0 or 1")
@@ -131,17 +134,15 @@ def loss_residual_slopes(kind: str, params: ParamVector, features: np.ndarray,
                          labels: np.ndarray) -> np.ndarray:
     """Per-example derivative of the loss with respect to the prediction.
 
-    The full per-example subgradient wrt (theta, intercept) is
-    ``slope[i] * (x_i, 1)``; kinks of the absolute loss get slope 0.
+    The full per-example subgradient wrt (theta, intercept) is ``slope[i] * (x_i, 1)``;
+    kinks of the absolute loss get slope 0.  The slopes of ``loss_values_and_slopes``.
     """
-    _check_kind(kind, trainable=True)
-    pred, labels = _prediction(params, features, labels)
-    return _slopes(kind, _residual(kind, pred, labels), labels)
+    return loss_values_and_slopes(kind, params, features, labels)[1]
 
 
 def loss_values_and_slopes(kind: str, params: ParamVector, features: np.ndarray,
                            labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(loss_values(...), loss_residual_slopes(...))`` from one prediction."""
+    """Per-example losses and their slopes wrt the prediction, from one prediction."""
     _check_kind(kind, trainable=True)
     pred, labels = _prediction(params, features, labels)
     r = _residual(kind, pred, labels)

@@ -330,23 +330,14 @@ def _frozen_loss_problem(losses, dist, spec: RobustSpec, eta: float = 0.0):
     """(float64 losses, a float64 copy of the n x n distances, ``spec`` with
     eps resolved from the losses): the plan problem at fixed losses, as
     ``primal_inner_sup``, ``minimize_plan`` and ``minimize_eta_plan`` pose it.
-    Raises ValueError at p <= 1, for a NaN or inf ``eta`` (the fixed eta of
-    the first two), for distances that are not n x n, for a NaN or inf loss
-    or distance and for a negative distance."""
+    Raises ValueError at p <= 1, for a NaN or inf ``eta`` (the fixed eta of the
+    first two) and for inputs ``_check_losses_and_distances`` rejects."""
     if spec.p <= 1.0:
         raise ValueError(f"the plan problem needs p > 1, got p = {spec.p:g}; "
                          "joint_cvar is the p = 1 objective")
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
-    losses = np.asarray(losses, dtype=float).ravel()
-    dist = np.array(dist, dtype=float)
-    n = losses.size
-    if dist.shape != (n, n):
-        raise ValueError(f"distances {dist.shape} must be {(n, n)} for {n} losses")
-    if not (np.isfinite(losses).all() and np.isfinite(dist).all()):
-        raise ValueError("losses and distances must be finite")
-    if np.any(dist < 0):
-        raise ValueError("distances must be nonnegative")
+    losses, dist = _check_losses_and_distances(losses, np.array(dist, dtype=float))
     return losses, dist, resolve_eps(spec, losses)
 
 
@@ -400,17 +391,27 @@ def _require_eps(spec: RobustSpec) -> float:
     return spec.eps
 
 
-def _check_inputs(losses, plan, dist):
+def _check_losses_and_distances(losses, dist):
+    """float64 losses and distances; ValueError unless the distances are n x n,
+    both are finite and no distance is negative."""
     losses = np.asarray(losses, dtype=float).ravel()
-    plan = np.asarray(plan, dtype=float)
     dist = np.asarray(dist, dtype=float)
     n = losses.size
-    if plan.shape != (n, n) or dist.shape != (n, n):
-        raise ValueError(
-            f"plan {plan.shape} and distances {dist.shape} must both be {(n, n)}"
-        )
-    if np.any(plan < 0):
-        raise ValueError("plan entries must be nonnegative")
+    if dist.shape != (n, n):
+        raise ValueError(f"distances {dist.shape} must be {(n, n)} for {n} losses")
+    if not (np.isfinite(losses).all() and np.isfinite(dist).all()):
+        raise ValueError("losses and distances must be finite")
+    if np.any(dist < 0):
+        raise ValueError("distances must be nonnegative")
+    return losses, dist
+
+
+def _check_inputs(losses, plan, dist):
+    """``_check_losses_and_distances``, and a nonnegative n x n float64 plan."""
+    losses, dist = _check_losses_and_distances(losses, dist)
+    plan = np.asarray(plan, dtype=float)
+    if plan.shape != dist.shape or np.any(plan < 0):
+        raise ValueError(f"plan must be {dist.shape} with no negative entry, got {plan.shape}")
     return losses, plan, dist
 
 

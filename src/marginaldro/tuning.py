@@ -1,16 +1,16 @@
 """Cross-validation of the smoothness hyperparameter L/eps.
 
-Each grid point is trained on the training sample and scored by the
-replicate estimate of worst-case risk on a held-out dataset (row-mean losses
-over repeated labels, then the CVaR tail mean).  Grid points run in turn, in
-ascending order, and ties keep the smaller lipschitz_ratio.  A grid point
-that fails numerically (ArithmeticError, DivergenceError) is recorded, not
-fatal, unless every point fails; any other exception propagates, such as a
-MemoryError from the first grid point, or a bug.  Every spec error is a
-ValueError raised before the first grid point trains: an objective that does
-not read lipschitz_ratio (``optim.PLAN_OBJECTIVES``), a p it cannot take
-(``optim.check_p``), a ratio ``RobustSpec`` rejects, a scoring alpha0
-outside (0, 1] and a holdout without replicate labels.
+Each grid point is trained on the training sample and scored on a held-out
+dataset by ``evaluation.eval_replicates`` (the CVaR of per-row mean losses
+over repeated labels).  Grid points run in turn, in ascending order, and
+ties keep the smaller lipschitz_ratio.  A grid point that fails numerically
+(ArithmeticError, DivergenceError) is recorded, not fatal, unless every
+point fails; any other exception propagates, such as a MemoryError from the
+first grid point, or a bug.  Every spec error is a ValueError raised before
+the first grid point trains: an objective that does not read lipschitz_ratio
+(``optim.PLAN_OBJECTIVES``), a p it cannot take (``optim.check_p``), a ratio
+``RobustSpec`` rejects, a scoring alpha0 outside (0, 1] and a holdout
+without replicate labels.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duals import RobustSpec, replicate_worst_case
-from .evaluation import loss_matrix
+from .duals import RobustSpec
+from .evaluation import eval_replicates
 from .model import Dataset
 from .optim import (PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, TrainResult,
                     check_p, train)
@@ -43,10 +43,7 @@ class CVResult:
 def replicate_score(result: TrainResult, holdout: Dataset, kind: str,
                     alpha0: float) -> float:
     """Held-out replicate estimate of worst-case risk for a trained model."""
-    if holdout.replicates is None:
-        raise ValueError("holdout dataset has no replicates")
-    losses = loss_matrix(kind, result.params, holdout.features, holdout.replicates)
-    return replicate_worst_case(losses, alpha0)
+    return float(eval_replicates(result.params, holdout, kind, [alpha0]).risks[0])
 
 
 def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,

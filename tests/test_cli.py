@@ -548,6 +548,20 @@ def test_repro_fig_toy(workdir):
     assert float(by["marginal"][3]) < float(by["erm"][3])
 
 
+@pytest.mark.slow
+def test_repro_fig_confounded(workdir):
+    """The one figure that evaluates conditional replicate risks."""
+    r = run_cli("repro", "fig_confounded", "--outdir", str(workdir), "--seed", "0")
+    assert r.returncode == 0, r.stderr
+    lines = (workdir / "fig_confounded.csv").read_text().strip().splitlines()
+    assert lines[0] == "method,c,risk_alpha005"
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 30  # 6 models x 5 confounder values
+    assert len({row[0] for row in rows}) == 6 and len({row[1] for row in rows}) == 5
+    risks = np.array([float(row[2]) for row in rows])
+    assert np.isfinite(risks).all() and (risks >= 0).all()
+
+
 def test_main_function_entry():
     assert main(["gen", "--variant", "toy_1d", "--n", "1", "--out-csv", os.devnull]) == 0
     assert main(["gen", "--variant", "nope"]) == 2

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from marginaldro.model import (
+    ROW_BLOCK,
     Dataset,
     ParamVector,
     loss_residual_slopes,
@@ -133,6 +136,34 @@ def test_dataset_validation():
         Dataset([[1.0], [2.0]], [1.0, 2.0], group=[0.0, 2.0])
     ds = Dataset([[1.0], [2.0]], [1.0, 2.0], replicates=[[1.0, 2.0], [3.0, 4.0]])
     assert ds.n == 2 and ds.d == 1 and ds.replicates.shape == (2, 2)
+
+
+@pytest.mark.parametrize("column, message", [
+    ("features", "features and labels must be finite"),
+    ("labels", "features and labels must be finite"),
+    ("replicates", "replicates must be finite"),
+    ("confounder", "confounder must be finite"),
+])
+def test_dataset_finiteness_checked_past_the_first_row_block(column, message):
+    n = 2 * ROW_BLOCK + 1
+    cols = dict(features=np.ones((n, 2)), labels=np.ones(n), replicates=np.ones((n, 3)),
+                confounder=np.ones(n))
+    cols[column][-1] = np.inf
+    with pytest.raises(ValueError, match=message):
+        Dataset(**cols)
+
+
+def test_dataset_checks_make_no_whole_size_temporary():
+    """Validating an existing float64 sample allocates a row block of scratch,
+    not an n x d bool array."""
+    features, labels = np.zeros((10**6, 20)), np.zeros(10**6)
+    tracemalloc.start()
+    try:
+        Dataset(features, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * features.nbytes, peak / features.nbytes
 
 
 def test_param_vector_validation():

@@ -21,7 +21,7 @@ from marginaldro.objectives import (
     robust_surrogate,
 )
 from marginaldro.optim import ObjectiveFunction, minimize_eta_plan, minimize_plan
-from marginaldro.variational import KernelSpec, gram, median_bandwidth
+from marginaldro.variational import KernelSpec, bounded_holder_objective, gram, median_bandwidth
 
 TWO_POINT = dict(
     losses=np.array([0.0, 2.0]),
@@ -393,6 +393,10 @@ FROZEN_LOSS_SOLVERS = {
     "minimize_plan": lambda losses, dist, spec: minimize_plan(losses, dist, 0.2, spec, iters=2),
     "minimize_eta_plan": lambda losses, dist, spec: minimize_eta_plan(losses, dist, spec,
                                                                       iters=2),
+    "marginal_objective": lambda losses, dist, spec: marginal_objective(
+        losses, dist, 0.2, np.zeros((len(losses),) * 2), spec),
+    "bounded_holder_objective": lambda losses, dist, spec: bounded_holder_objective(
+        losses, dist, 0.2, np.zeros((len(losses),) * 2), spec),
 }
 OFF_DIAGONAL = TWO_POINT["dist"]
 BAD_FROZEN_LOSS_INPUTS = {
@@ -408,7 +412,8 @@ BAD_FROZEN_LOSS_INPUTS = {
 @pytest.mark.parametrize("case", BAD_FROZEN_LOSS_INPUTS)
 @pytest.mark.parametrize("solver", FROZEN_LOSS_SOLVERS)
 def test_frozen_loss_solvers_check_their_inputs(solver, case):
-    """The oracle and both plan minimizers share one setup and its checks."""
+    """The oracle, both plan minimizers and the value-only references share
+    one check of the losses and distances."""
     losses, dist, match = BAD_FROZEN_LOSS_INPUTS[case]
     with pytest.raises(ValueError, match=match):
         FROZEN_LOSS_SOLVERS[solver](losses, dist, spec2())

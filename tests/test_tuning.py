@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,9 +9,10 @@ import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 import marginaldro.tuning as tuning
 from marginaldro.datagen import SimSpec, generate, generate_replicates
-from marginaldro.duals import RobustSpec
-from marginaldro.model import Dataset
-from marginaldro.optim import DivergenceError, OptimizerConfig
+from marginaldro.duals import RobustSpec, replicate_worst_case
+from marginaldro.evaluation import loss_matrix
+from marginaldro.model import ROW_BLOCK, Dataset, ParamVector
+from marginaldro.optim import DivergenceError, OptimizerConfig, TrainResult
 from marginaldro.tuning import cross_validate, replicate_score
 
 
@@ -42,6 +44,39 @@ def test_argmin_contract():
     # the winner's model really scores best on the held-out replicate estimate
     assert replicate_score(result.best_result, holdout, "absolute_deviation",
                            0.05) == pytest.approx(best_score)
+
+
+def fitted(params):
+    """A TrainResult holding ``params``, all ``replicate_score`` reads."""
+    return TrainResult(params, objective=0.0, trace=np.zeros(0))
+
+
+@pytest.mark.parametrize("alpha0", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 1, 1000])
+@pytest.mark.parametrize("kind", ["absolute_deviation", "logistic", "zero_one"])
+def test_replicate_score_has_the_loss_matrix_bits(kind, n, alpha0):
+    """The score equals the CVaR of the row means of the whole n x m loss matrix."""
+    rng = np.random.default_rng(n)
+    reps = rng.normal(size=(n, 7))
+    if kind != "absolute_deviation":
+        reps = np.where(reps > 0.3, 1.0, -1.0)
+    holdout = Dataset(rng.normal(size=(n, 3)), reps[:, 0], replicates=reps)
+    params = ParamVector([0.9, -0.3, 0.2], 0.05)
+    want = replicate_worst_case(
+        loss_matrix(kind, params, holdout.features, holdout.replicates), alpha0)
+    assert replicate_score(fitted(params), holdout, kind, alpha0) == want
+
+
+def test_replicate_score_peak_memory_below_half_a_loss_matrix():
+    """The held-out score makes no n x m loss matrix."""
+    holdout = generate_replicates(SimSpec(n=10**5, d=2, variant="simdist", seed=4), m=50)
+    tracemalloc.start()
+    try:
+        replicate_score(fitted(ParamVector([0.8, 0.1])), holdout, "absolute_deviation", 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * holdout.replicates.nbytes, peak / holdout.replicates.nbytes
 
 
 def test_tie_breaks_toward_smaller_ratio():
