@@ -27,10 +27,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT
+from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT, VARIANTS
 from .duals import RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
-from .model import ROW_BLOCK, Dataset, ParamVector, _row_blocks
+from .model import LOSS_KINDS, ROW_BLOCK, TRAINABLE_LOSS_KINDS, Dataset, ParamVector, _row_blocks
 from .optim import OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, OptimizerConfig, train
 from .tuning import cross_validate
 
@@ -86,15 +86,13 @@ def _build_parser():
         return p
 
     def synthetic(p, variant, n):
-        p.add_argument("--variant", choices=("toy_1d", "simdist", "confounded"),
-                       default=variant)
+        p.add_argument("--variant", choices=VARIANTS, default=variant)
         p.add_argument("--n", type=int, default=n)
         p.add_argument("--d", type=int, default=1)
         p.add_argument("--alpha-true", type=float, default=0.15)
 
     def training(p, ratio, ratio_help, iters):
-        p.add_argument("--loss", choices=("absolute_deviation", "logistic"),
-                       default="absolute_deviation")
+        p.add_argument("--loss", choices=TRAINABLE_LOSS_KINDS, default="absolute_deviation")
         p.add_argument("--alpha0", type=float, default=0.3)
         p.add_argument("--p", type=float, default=2.0)
         p.add_argument("--lipschitz-ratio", default=ratio, help=ratio_help)
@@ -122,8 +120,7 @@ def _build_parser():
     e = command("eval", "evaluate worst-case risk over alpha0 grid", cmd_eval)
     e.add_argument("--model", required=True)
     e.add_argument("--mode", choices=("oracle", "replicates", "joint"), default="joint")
-    e.add_argument("--loss", choices=("absolute_deviation", "logistic", "zero_one"),
-                   default="absolute_deviation")
+    e.add_argument("--loss", choices=LOSS_KINDS, default="absolute_deviation")
     e.add_argument("--alphas", default=EVAL_ALPHAS_DEFAULT)
     e.add_argument("--in-csv", default=None, help="dataset CSV (else synthetic variant)")
     synthetic(e, None, ORACLE_EVAL_ROWS)
@@ -454,12 +451,16 @@ def _replicate_holdout(spec: SimSpec) -> Dataset:
     return generate_replicates(replace(spec, n=1000, seed=spec.seed + 100_003), m=100)
 
 
+def _repro_opt(objective, iters=300) -> OptimizerConfig:
+    """The figures' optimizer: ``iters`` steps from step0 = 0.5, no intercept."""
+    return OptimizerConfig(objective=objective, max_iters=iters, step0=0.5,
+                           fit_intercept=False)
+
+
 def _baselines(ds, alpha0) -> dict:
     """ERM and joint p = 2 DRO parameters (400 iterations, no intercept)."""
     spec = RobustSpec(alpha0=alpha0, p=2.0)
-    return {objective: train(ds, "absolute_deviation", spec,
-                             OptimizerConfig(objective=objective, max_iters=400, step0=0.5,
-                                             fit_intercept=False)).params
+    return {objective: train(ds, "absolute_deviation", spec, _repro_opt(objective, 400)).params
             for objective in ("erm", "joint_pnorm")}
 
 
@@ -470,9 +471,8 @@ def _fit_models(spec: SimSpec, iters=300) -> dict:
     is selected by its held-out replicate risk at alpha0 = 0.05.
     """
     ds = generate(spec)
-    opt = OptimizerConfig(objective="marginal", max_iters=iters, step0=0.5,
-                          fit_intercept=False)
-    cv = cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=2.0), opt,
+    cv = cross_validate(ds, "absolute_deviation", RobustSpec(alpha0=0.3, p=2.0),
+                        _repro_opt("marginal", iters),
                         (0.1, 1.0, 10.0, 100.0), _replicate_holdout(spec),
                         score_alpha0=0.05)
     return {**_baselines(ds, 0.3), "marginal": cv.best_result.params}
@@ -495,7 +495,7 @@ def _repro_toy(seed):
 
 
 def _repro_alpha_sweep(seed):
-    alphas = (0.05, 0.1, 0.15, 0.3, 0.5, 1.0)
+    alphas = _float_list(EVAL_ALPHAS_DEFAULT, "--alphas")
     spec = SimSpec(n=2000, d=1, variant="simdist", seed=seed)
     reports = _oracle_reports(_fit_models(spec), spec, alphas)
     rows = [(name, a, r) for name, report in reports.items() for a, r, _ in report.rows()]
@@ -510,11 +510,9 @@ def _repro_alpha_sweep(seed):
 def _repro_lip_sensitivity(seed):
     spec = SimSpec(n=2000, d=1, variant="simdist", seed=seed)
     ds = generate(spec)
-    opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
-                          fit_intercept=False)
     models = {("marginal", ratio): train(ds, "absolute_deviation",
                                          RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=ratio),
-                                         opt).params
+                                         _repro_opt("marginal")).params
               for ratio in (0.1, 1.0, 10.0, 100.0, 1000.0)}
     models.update(((name, ""), params) for name, params in _baselines(ds, 0.3).items())
     rows = [(*key, report.risks[0])
@@ -541,9 +539,8 @@ def _repro_confounded(seed):
     # postulated confounding levels on an interpretable scale
     for delta in (0.0, 0.02, 0.05, 0.2):
         spec = RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=delta)
-        opt = OptimizerConfig(objective="marginal", max_iters=300, step0=0.5,
-                              fit_intercept=False)
-        models[f"marginal_delta{delta:g}"] = train(ds, "absolute_deviation", spec, opt).params
+        models[f"marginal_delta{delta:g}"] = train(ds, "absolute_deviation", spec,
+                                                   _repro_opt("marginal")).params
     models.update(_baselines(ds, 0.1))
     rows = [(name, float(c), eval_replicates(params, holdout, "absolute_deviation", [0.05],
                                              condition=float(c)).risks[0])

@@ -84,7 +84,7 @@ def eval_replicates(params: ParamVector, dataset: Dataset, kind: str, alphas,
     if condition is not None:
         if dataset.confounder is None:
             raise ValueError("dataset has no confounder column to condition on")
-        mask = np.isclose(dataset.confounder, condition, atol=1e-9)
+        mask = np.isclose(dataset.confounder, condition, rtol=0.0, atol=1e-9)
         if not mask.any():
             raise ValueError(f"no rows have confounder value {condition}")
         means = means[mask]

@@ -351,8 +351,8 @@ def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:
     and an unset eps is resolved from the losses, as the minimizers do.  The
     solver's point is made feasible before it is scored: clipped at 0,
     lowered onto the bounds by n rounds of h_i <- min_j (h_j + bound_ij)
-    (one round is exact only when the bound obeys the triangle inequality,
-    which ||x_i - x_j||^(p-1) breaks at p > 2), then scaled into the ball.
+    (one round is exact only for a bound obeying the triangle inequality,
+    and the caller's ``dist`` need not be a metric), then scaled into the ball.
     So the value is a lower bound on the supremum, equal to it to solver
     tolerance; used as a strong-duality oracle against the infimum of
     ``marginal_objective`` over plans.

@@ -13,6 +13,7 @@ extra n).  The optimum is unchanged; only the step geometry is.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,8 +72,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (np.isfinite(self.step0) and self.step0 > 0):
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
         if not (np.isfinite(self.ridge) and self.ridge >= 0):
@@ -308,51 +310,50 @@ def check_p(objective: str, spec: RobustSpec):
                          "joint_cvar is the p = 1 objective")
 
 
-def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int = 2000,
-                  step0: float = 0.2):
+def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int):
     """Infimum of ``marginal_objective`` over plans at fixed losses and eta.
 
-    The frozen-loss descent with eta fixed, alpha0 = 1 and no floor, so the
-    surrogate is the bare objective plus eta; the confounding penalty is
-    included when ``spec.delta`` > 0; posed as ``primal_inner_sup`` poses it.
+    ``iters`` steps of the frozen-loss descent with eta fixed, alpha0 = 1 and
+    no floor, so the surrogate is the bare objective plus eta; the confounding
+    penalty is included when ``spec.delta`` > 0; posed as ``primal_inner_sup``.
     Returns (best value, best plan).
     """
     losses, dist, spec = _frozen_loss_problem(losses, dist, spec, eta)
     kernel = TransportKernel(dist, replace(spec, alpha0=1.0))
     kernel.floor = 0.0
-    value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0)
+    value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters)
     return float(value - eta), plan
 
 
-def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int = 3000,
-                      step0: float = 0.2):
+def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int):
     """Infimum of the floored surrogate over (eta, plan) at fixed losses.
 
     Returns (best value, best eta, best plan) of
-    (1/alpha0) max(objective, eps^(q-1)) + eta; posed as ``minimize_plan``.
+    (1/alpha0) max(objective, eps^(q-1)) + eta after ``iters`` steps of the
+    frozen-loss descent from the CVaR threshold; posed as ``minimize_plan``.
     """
     losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
     kernel = TransportKernel(dist, spec)
     eta = cvar_dual(losses, spec.alpha0)[1]
-    value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters, step0,
+    value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters,
                                             eta_bound=_eta_bound(spec, losses))
     return float(value), float(eta), plan
 
 
 def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int,
-                         step0: float, eta_bound: float | None = None):
-    """Projected subgradient descent on the plan at fixed losses, and on eta
-    too unless ``eta_bound`` is None; returns the best (value, eta, plan)."""
+                         eta_bound: float | None = None):
+    """``iters`` projected subgradient steps on the plan at fixed losses, and
+    on eta too unless ``eta_bound`` is None; step t (from 0) has size
+    0.2 / sqrt(t + 1).  Returns the best (value, eta, plan) seen."""
     plan = kernel.zeros()
     best_value, best_eta, best_plan = np.inf, eta, plan
     for t in range(iters):
         value, wt, vec = kernel.evaluate(losses, eta, plan)
         if value < best_value:
             best_value, best_eta, best_plan = value, eta, plan
-        step = step0 / np.sqrt(t + 1.0)
+        step = 0.2 / np.sqrt(t + 1.0)
         plan = kernel.plan_step(plan, vec, step, keep=best_plan)
         if eta_bound is not None:
             g_eta = 1.0 - wt.sum() / kernel.alpha0
             eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
     return best_value, best_eta, best_plan
-

@@ -10,7 +10,7 @@ first grid point, or a bug.  Every spec error is a ValueError raised before
 the first grid point trains: an objective that does not read lipschitz_ratio
 (``optim.PLAN_OBJECTIVES``), a p it cannot take (``optim.check_p``), a ratio
 ``RobustSpec`` rejects, a scoring alpha0 outside (0, 1] and a holdout
-without replicate labels.
+without replicate labels or with another feature dimension.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
     check_p(opt.objective, spec)
     if holdout.replicates is None:
         raise ValueError("holdout dataset has no replicates")
+    if holdout.d != dataset.d:
+        raise ValueError(f"holdout feature dimension {holdout.d} does not match "
+                         f"training feature dimension {dataset.d}")
     points = [replace(spec, lipschitz_ratio=ratio) for ratio in grid]
     score_alpha0 = spec.alpha0 if score_alpha0 is None else float(score_alpha0)
     if not 0.0 < score_alpha0 <= 1.0:

@@ -53,22 +53,6 @@ def gram(features: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     return k
 
 
-def check_gram(k: np.ndarray):
-    """Raise ValueError unless ``k`` is a symmetric positive semidefinite
-    matrix, by an attempted Cholesky factorization with a small diagonal
-    jitter."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError(f"gram matrix must be square, got {k.shape}")
-    if not np.allclose(k, k.T, atol=1e-10):
-        raise ValueError("gram matrix must be symmetric")
-    jitter = PSD_TOL * k.shape[0]
-    try:
-        np.linalg.cholesky(k + jitter * np.eye(k.shape[0]))
-    except np.linalg.LinAlgError as err:
-        raise ValueError("gram matrix is not positive semidefinite") from err
-
-
 def rkhs_objective(losses, gram_matrix, eta: float, beta, alpha0: float,
                    radius: float) -> float:
     """Hinge sum of beta-shifted losses plus the RKHS-norm penalty.

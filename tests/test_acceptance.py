@@ -164,7 +164,7 @@ def test_criterion_3_strong_duality_small_instances():
         spec = RobustSpec(alpha0=0.5, p=2.0, lipschitz_ratio=float(rng.uniform(0.3, 3.0)),
                           eps=1.0)
         dist = pairwise_distance_power(x, 2.0)
-        dual, _ = minimize_plan(losses, dist, eta, spec, iters=10000, step0=0.2)
+        dual, _ = minimize_plan(losses, dist, eta, spec, iters=10000)
         primal = primal_inner_sup(losses, dist, eta, spec)
         worst = max(worst, abs(dual - primal))
     ok = worst <= 1e-3
@@ -181,7 +181,7 @@ def test_criterion_4_limit_reductions():
     # L/eps huge: the plan vanishes and the surrogate becomes the joint dual
     spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=1e6, eps=1e-4)
     dist = pairwise_distance_power(feats, 2.0)
-    val, _, plan = minimize_eta_plan(losses, dist, spec, iters=4000, step0=0.2)
+    val, _, plan = minimize_eta_plan(losses, dist, spec, iters=4000)
     target = pnorm_dual(losses, 0.3, 2.0)[0]
     rel = abs(val - target) / target
 
@@ -191,7 +191,7 @@ def test_criterion_4_limit_reductions():
         eta = 0.3
         spec0 = RobustSpec(alpha0=0.3, p=p, lipschitz_ratio=0.0, eps=1e-4)
         dist_p = pairwise_distance_power(feats, p)
-        block, _ = minimize_plan(losses, dist_p, eta, spec0, iters=6000, step0=0.2)
+        block, _ = minimize_plan(losses, dist_p, eta, spec0, iters=6000)
         flat = (p - 1.0) ** (1.0 / p) * max(losses.mean() - eta, 0.0)
         worst_erm = max(worst_erm, abs(block - flat))
     ok = rel <= 1e-3 and worst_erm <= 1e-3 and plan.max() <= 1e-6

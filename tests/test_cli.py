@@ -562,6 +562,24 @@ def test_repro_fig_confounded(workdir):
     assert np.isfinite(risks).all() and (risks >= 0).all()
 
 
+@pytest.mark.slow
+def test_repro_fig_alpha_sweep(workdir):
+    """Each model's oracle risk at the eval default alphas, and the best slope's."""
+    r = run_cli("repro", "fig_alpha_sweep", "--outdir", str(workdir), "--seed", "0")
+    assert r.returncode == 0, r.stderr
+    lines = (workdir / "fig_alpha_sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == "method,alpha0,risk"
+    rows = [line.split(",") for line in lines[1:]]
+    methods = ("erm", "joint_pnorm", "marginal", "oracle_best_slope")
+    alphas = [float(a) for a in cli.EVAL_ALPHAS_DEFAULT.split(",")]
+    assert len(rows) == 24
+    for method in methods:
+        by_alpha = {float(a): float(risk) for name, a, risk in rows if name == method}
+        assert sorted(by_alpha) == alphas
+        risks = np.array([by_alpha[a] for a in alphas])
+        assert np.isfinite(risks).all() and (np.diff(risks) <= 0).all(), (method, risks)
+
+
 def test_main_function_entry():
     assert main(["gen", "--variant", "toy_1d", "--n", "1", "--out-csv", os.devnull]) == 0
     assert main(["gen", "--variant", "nope"]) == 2

@@ -86,6 +86,17 @@ def test_eval_replicates_condition_filter():
         eval_replicates(p, no_conf, "absolute_deviation", [0.1], condition=1.0)
 
 
+def test_condition_matches_only_that_confounder_value():
+    """Nearby confounder values are other rows, however large the value."""
+    reps = np.array([[0.9, 0.9], [2.5, 2.5], [3.0, 3.0]])
+    ds = Dataset(np.zeros((3, 1)), reps[:, 0], replicates=reps,
+                 confounder=np.array([1000.0, 1000.005, 999.993]))
+    report = eval_replicates(ParamVector([0.0]), ds, "absolute_deviation", [0.1, 1.0],
+                             condition=1000.0)
+    assert report.mean_risk == 0.9
+    assert list(report.risks) == [0.9, 0.9]
+
+
 def test_loss_matrix_matches_loss_values_per_column():
     """Each replicate column holds the bits ``loss_values`` gives for it."""
     ds = generate_replicates(SimSpec(n=257, d=3, variant="simdist", seed=8), m=6)
@@ -160,7 +171,7 @@ def whole_array_replicate_report(kind, params, ds, alphas, condition=None):
     """(risks, mean risk) of ``eval_replicates`` from one whole n x m loss matrix."""
     losses = whole_array_loss_matrix(kind, params, ds.features, ds.replicates)
     if condition is not None:
-        losses = losses[np.isclose(ds.confounder, condition, atol=1e-9)]
+        losses = losses[np.isclose(ds.confounder, condition, rtol=0.0, atol=1e-9)]
     means = losses.mean(axis=1)
     return (np.array([cvar_dual(means, a)[0] for a in np.sort(alphas)]),
             float(np.mean(means)))

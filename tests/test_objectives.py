@@ -470,7 +470,7 @@ def test_joint_dro_limit_level_below_p2():
     losses = rng.uniform(0, 2, n)
     dist = pairwise_distance_power(rng.uniform(-1, 1, (n, 2)), p)
     spec = RobustSpec(alpha0=0.3, p=p, lipschitz_ratio=1e6, eps=1e-4)
-    val, _, plan = minimize_eta_plan(losses, dist, spec, iters=4000, step0=0.2)
+    val, _, plan = minimize_eta_plan(losses, dist, spec, iters=4000)
     target = pnorm_dual(losses, 0.3 / (p - 1.0) ** (1.0 / p), p)[0]
     assert val == pytest.approx(target, rel=1e-4)
     assert abs(val - pnorm_dual(losses, 0.3, p)[0]) > 0.05

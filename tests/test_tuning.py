@@ -233,6 +233,15 @@ def test_holdout_without_replicates_rejected_before_training(monkeypatch):
         cross_validate(ds, "absolute_deviation", SPEC, OPT, [0.1, 1.0, 10.0], ds)
 
 
+def test_holdout_of_another_feature_dimension_rejected_before_training(monkeypatch):
+    monkeypatch.setattr(tuning, "train", _no_training)
+    ds = generate(SimSpec(n=40, d=2, variant="simdist", seed=9))
+    _, holdout = setup_data(seed=9, n=40)
+    with pytest.raises(ValueError, match="holdout feature dimension 1 does not match "
+                                         "training feature dimension 2"):
+        cross_validate(ds, "absolute_deviation", SPEC, OPT, [0.1, 1.0, 10.0], holdout)
+
+
 def test_memory_error_propagates_from_the_first_grid_point(monkeypatch):
     """Too little memory is not a numeric failure: the first grid point raises it."""
     real_train, calls = tuning.train, []

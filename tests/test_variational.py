@@ -6,7 +6,6 @@ from marginaldro.objectives import pairwise_distance_power, plan_adjustments
 from marginaldro.variational import (
     KernelSpec,
     bounded_holder_objective,
-    check_gram,
     gram,
     median_bandwidth,
     rkhs_objective,
@@ -30,11 +29,6 @@ def test_gram_values():
     assert k[0, 1] == pytest.approx(np.exp(-1.0))
     assert k[0, 2] == pytest.approx(1.0)  # duplicate rows
     assert np.allclose(k, k.T)
-
-
-def test_check_gram_rejects_indefinite():
-    with pytest.raises(ValueError):
-        check_gram(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_median_bandwidth_positive():
