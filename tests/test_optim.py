@@ -149,7 +149,7 @@ def test_optimizer_config_validation():
         OptimizerConfig(objective="nope")
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    for max_iters in (3.0, 1e4, True):  # train would fail on them after building distances
+    for max_iters in (3.0, 1e4, True):  # a float fails in train only after its setup
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
             OptimizerConfig(max_iters=max_iters)
     assert OptimizerConfig(max_iters=np.int64(3)).max_iters == 3
