@@ -27,7 +27,6 @@ from .optim import (
     DivergenceError,
     OptimizerConfig,
     TrainResult,
-    optimal_eta_exact,
     train,
 )
 from .tuning import cross_validate
@@ -56,7 +55,6 @@ __all__ = [
     "generate_replicates",
     "gram",
     "marginal_objective",
-    "optimal_eta_exact",
     "pairwise_distance_power",
     "pnorm_dual",
     "primal_inner_sup",

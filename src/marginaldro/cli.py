@@ -23,7 +23,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -333,9 +333,8 @@ def _robust_spec(args):
     """The training flags' RobustSpec at the first --lipschitz-ratio, and the list.
 
     Setting a field the objective does not read is a usage error."""
-    _reject_given(args, [f"--{field.replace('_', '-')}"
-                         for field in ("alpha0", "p", "lipschitz_ratio", "eps", "delta")
-                         if field not in SPEC_FIELDS[args.objective]],
+    _reject_given(args, [f"--{field.name.replace('_', '-')}" for field in fields(RobustSpec)
+                         if field.name not in SPEC_FIELDS[args.objective]],
                   f"has no effect on {args.objective}")
     ratios = _float_list(args.lipschitz_ratio, "--lipschitz-ratio")
     spec = RobustSpec(alpha0=args.alpha0, p=args.p, lipschitz_ratio=ratios[0],

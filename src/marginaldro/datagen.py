@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ParamVector, _row_blocks
+from .model import Dataset, ParamVector, _check_integer, _row_blocks
 
 VARIANTS = ("toy_1d", "simdist", "confounded")
 
@@ -49,10 +49,9 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_integer("n", self.n, 1)
+        _check_integer("d", self.d, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0.0 < self.alpha_true < 1.0:
             raise ValueError(f"alpha_true must be in (0, 1), got {self.alpha_true}")
         if self.variant not in VARIANTS:
@@ -104,8 +103,7 @@ def generate_replicates(spec: SimSpec, m: int) -> Dataset:
     replicates all equal |x1| + 1{x1 >= 0} * c_i for the row's confounder
     draw; conditioning evaluations filter rows on that stored value.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_integer("m", m, 1)
     features, reps, z, conf = _draw(spec, m)
     return Dataset(features, reps[:, 0], replicates=reps, group=z, confounder=conf)
 

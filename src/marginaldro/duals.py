@@ -45,9 +45,6 @@ class RobustSpec:
         adds the entrywise plan penalty 2 delta**(p-1)/eps * sum |B_ij| / n**2
         when delta > 0, and delta = 0 is the unconfounded objective.  The
         other objectives have no such penalty; the CLI rejects --delta there.
-    loss_bound : finite float > 0, optional
-        Bound M on the losses; defaults to the max observed loss where one
-        is needed.
     """
 
     alpha0: float
@@ -55,7 +52,6 @@ class RobustSpec:
     lipschitz_ratio: float = 1.0
     eps: float | None = None
     delta: float = 0.0
-    loss_bound: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha0 <= 1.0:
@@ -70,15 +66,10 @@ class RobustSpec:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not (np.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        if self.loss_bound is not None and not (np.isfinite(self.loss_bound)
-                                                and self.loss_bound > 0):
-            raise ValueError(f"loss_bound must be finite and > 0, got {self.loss_bound}")
 
     @property
     def q(self) -> float:
-        """Conjugate exponent p/(p-1)."""
-        if self.p <= 1.0:
-            return np.inf
+        """Conjugate exponent p/(p-1), for p > 1."""
         return self.p / (self.p - 1.0)
 
 

@@ -7,6 +7,7 @@ loss is evaluation-only and has no subgradient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ def _require_finite(message, *arrays):
     """Raise ValueError(message) unless all entries are finite, checked by row blocks."""
     if not all(np.isfinite(a[rows]).all() for a in arrays for rows in _row_blocks(len(a))):
         raise ValueError(message)
+
+
+def _check_integer(name: str, value, low: int):
+    """Raise ValueError unless ``value`` is an integer >= ``low`` (numpy's
+    included, bool not)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _check_kind(kind, trainable=False):

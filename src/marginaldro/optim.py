@@ -3,8 +3,9 @@
 ``SPEC_FIELDS`` lists the ``RobustSpec`` fields each objective reads; which
 objectives take eta, need p > 1 or carry a transport plan follows from it.
 Every trainable objective is convex in its variables; the solver keeps the
-best iterate seen, projects eta to [0, M] and plans to the nonnegative
-orthant each step, and records the running-best objective in the trace.
+best iterate seen, projects eta to [0, the largest loss of the current
+iterate] and plans to the nonnegative orthant each step, and records the
+running-best objective in the trace.
 Block updates are preconditioned so their magnitudes do not shrink with the
 sample size: plan gradients scale like 1/n^2 while optimal plan entries are
 O(1), so plan steps carry an extra n^2 (and the RKHS smoothing vector an
@@ -13,13 +14,13 @@ extra n).  The optimum is unchanged; only the step geometry is.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .duals import RobustSpec, cvar_dual, pnorm_dual
-from .model import Dataset, ParamVector, loss_values, loss_values_and_slopes
+from .model import (Dataset, ParamVector, _check_integer, _check_kind, loss_values,
+                    loss_values_and_slopes)
 from .objectives import (
     DensePlanStep,
     DISTANCE_BUILD_ARRAYS,
@@ -72,9 +73,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
-        if not (isinstance(self.max_iters, numbers.Integral)
-                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _check_integer("max_iters", self.max_iters, 1)
         if not (np.isfinite(self.step0) and self.step0 > 0):
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
         if not (np.isfinite(self.ridge) and self.ridge >= 0):
@@ -103,13 +102,17 @@ class ObjectiveFunction:
     that per-example form: ``plan_step`` applies it without building the
     n x n array.  Distances and Gram matrices are precomputed once, so
     repeated evaluation is cheap; a MemoryError is raised before they are
-    built when their bytes exceed the machine's memory.
+    built when their bytes exceed the machine's memory, and a loss kind that
+    cannot be trained or a p the objective cannot take is rejected before
+    either.  ``rkhs`` uses the Gaussian kernel at the median pairwise
+    distance (``median_bandwidth``) and the RKHS norm budget R = 1.
     """
 
     def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str,
-                 kernel: KernelSpec | None = None, ridge: float = 0.0):
+                 ridge: float = 0.0):
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
+        _check_kind(kind, trainable=True)
         check_p(objective, spec)
         self.uses_eta = "alpha0" in SPEC_FIELDS[objective]
         self.uses_plan = objective in PLAN_OBJECTIVES
@@ -135,10 +138,8 @@ class ObjectiveFunction:
             else:
                 self.transport = TransportKernel(dist, spec)
         if self.uses_beta:
-            if kernel is None:
-                kernel = KernelSpec(bandwidth=median_bandwidth(dataset.features))
-            self.kernel = kernel
-            self.k = gram(dataset.features, kernel)
+            self.k = gram(dataset.features,
+                          KernelSpec(bandwidth=median_bandwidth(dataset.features)))
         self.spec = spec
         self.last_losses: np.ndarray | None = None
 
@@ -210,11 +211,11 @@ class ObjectiveFunction:
         active = (margin > 0).astype(float)
         kb = self.k @ beta
         quad = max(float(beta @ kb), 0.0)
-        norm = np.sqrt(quad / self.kernel.radius)
+        norm = np.sqrt(quad)
         value = float(np.maximum(margin, 0.0).sum()) / (a0 * n) + norm / n + eta
         g_beta = active / (a0 * n)
         if norm > 0:
-            g_beta = g_beta + kb / (self.kernel.radius * norm * n)
+            g_beta = g_beta + kb / (norm * n)
         return value, active, a0 * n, g_beta
 
     _KERNELS = {"erm": _erm, "joint_cvar": _joint_cvar, "joint_pnorm": _joint_pnorm,
@@ -253,9 +254,10 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig) -
     for t in range(opt.max_iters):
         if not np.isfinite(w).all():  # d + 1 numbers; ParamVector would refuse them
             raise DivergenceError(t, "w")
-        if joint and t % ETA_REFRESH == 0:
-            p_eff = spec.p if "p" in SPEC_FIELDS[opt.objective] else 1.0
-            eta = optimal_eta_exact(fn.losses(w), spec.alpha0, p_eff)
+        if joint and t % ETA_REFRESH == 0:  # the exact minimizer at the current losses
+            losses = fn.losses(w)
+            eta = (cvar_dual(losses, spec.alpha0) if opt.objective == "joint_cvar"
+                   else pnorm_dual(losses, spec.alpha0, spec.p))[1]
         value, g_w, g_eta, plan_vec, g_beta = fn.value_grad(w, eta, plan, beta)
         if not np.isfinite(value):
             raise DivergenceError(t, _nonfinite_block(eta=eta, beta=beta, plan=plan))
@@ -268,7 +270,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig) -
         if not opt.fit_intercept:
             w[-1] = 0.0
         if fn.uses_eta:
-            eta = float(np.clip(eta - step * g_eta, 0.0, _eta_bound(spec, fn.last_losses)))
+            eta = float(np.clip(eta - step * g_eta, 0.0, fn.last_losses.max()))
         if fn.uses_plan:
             plan = fn.plan_step(plan, plan_vec, step, keep=best_plan)
         if fn.uses_beta:
@@ -285,19 +287,6 @@ def _nonfinite_block(**blocks) -> str:
         if x is not None and not np.isfinite(x).all():
             return name
     return "objective"
-
-
-def optimal_eta_exact(losses, alpha0: float, p: float) -> float:
-    """Exact inner-minimizing threshold of the joint dual at fixed losses."""
-    if p == 1.0:
-        return cvar_dual(losses, alpha0)[1]
-    return pnorm_dual(losses, alpha0, p)[1]
-
-
-def _eta_bound(spec: RobustSpec, losses) -> float:
-    if spec.loss_bound is not None:
-        return spec.loss_bound
-    return float(np.max(losses)) if losses.size else 0.0
 
 
 def check_p(objective: str, spec: RobustSpec):
@@ -330,13 +319,14 @@ def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int):
 
     Returns (best value, best eta, best plan) of
     (1/alpha0) max(objective, eps^(q-1)) + eta after ``iters`` steps of the
-    frozen-loss descent from the CVaR threshold; posed as ``minimize_plan``.
+    frozen-loss descent from the CVaR threshold, eta projected onto
+    [0, max loss]; posed as ``minimize_plan``.
     """
     losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
     kernel = TransportKernel(dist, spec)
     eta = cvar_dual(losses, spec.alpha0)[1]
     value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters,
-                                            eta_bound=_eta_bound(spec, losses))
+                                            eta_bound=losses.max())
     return float(value), float(eta), plan
 
 

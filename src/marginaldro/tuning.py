@@ -8,9 +8,10 @@ ties keep the smaller lipschitz_ratio.  A grid point that fails numerically
 point fails; any other exception propagates, such as a MemoryError from the
 first grid point, or a bug.  Every spec error is a ValueError raised before
 the first grid point trains: an objective that does not read lipschitz_ratio
-(``optim.PLAN_OBJECTIVES``), a p it cannot take (``optim.check_p``), a ratio
-``RobustSpec`` rejects, a scoring alpha0 outside (0, 1] and a holdout
-without replicate labels or with another feature dimension.
+(``optim.PLAN_OBJECTIVES``), a loss kind that cannot be trained, a p the
+objective cannot take (``optim.check_p``), a ratio ``RobustSpec`` rejects, a
+scoring alpha0 outside (0, 1] and a holdout without replicate labels or with
+another feature dimension.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .duals import RobustSpec
 from .evaluation import eval_replicates
-from .model import Dataset
+from .model import Dataset, _check_kind
 from .optim import (PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, TrainResult,
                     check_p, train)
 
@@ -62,6 +63,7 @@ def cross_validate(dataset: Dataset, kind: str, spec: RobustSpec,
     if opt.objective not in PLAN_OBJECTIVES:
         raise ValueError(f"{opt.objective} does not read lipschitz_ratio; cross_validate "
                          f"tunes one of {PLAN_OBJECTIVES}")
+    _check_kind(kind, trainable=True)
     check_p(opt.objective, spec)
     if holdout.replicates is None:
         raise ValueError("holdout dataset has no replicates")

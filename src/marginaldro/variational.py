@@ -21,16 +21,13 @@ PSD_TOL = 1e-8
 
 @dataclass
 class KernelSpec:
-    """Gaussian kernel with bandwidth sigma and RKHS norm budget R."""
+    """Gaussian kernel with bandwidth sigma."""
 
     bandwidth: float
-    radius: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive and finite")
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("radius must be positive and finite")
 
 
 def median_bandwidth(features: np.ndarray) -> float:

@@ -3,11 +3,13 @@ import subprocess
 import sys
 import tracemalloc
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import marginaldro.objectives as objectives
-from marginaldro import cli, tuning
+from marginaldro import RobustSpec, cli, tuning
 from marginaldro.cli import (
     main,
     read_dataset_csv,
@@ -15,6 +17,7 @@ from marginaldro.cli import (
     write_dataset_csv,
 )
 from marginaldro.model import ROW_BLOCK, Dataset
+from marginaldro.optim import SPEC_FIELDS
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -412,6 +415,17 @@ def test_marginal_trains_the_delta_it_is_given(workdir):
                      "--no-intercept", "--out-model", str(out)]) == 0
         models[delta] = out.read_text()
     assert models["0"] != models["5"]
+
+
+def test_robust_spec_holds_the_hyperparameters_train_takes():
+    """RobustSpec's fields are the ones the objectives read (SPEC_FIELDS),
+    and each is a train flag, so the CLI can take its list from RobustSpec."""
+    names = [field.name for field in fields(RobustSpec)]
+    assert set(names) == set().union(*SPEC_FIELDS.values())
+    _, subparsers = cli._build_parser()
+    train_flags = {flag for action in subparsers["train"]._actions  # noqa: SLF001
+                   for flag in action.option_strings}
+    assert {f"--{name.replace('_', '-')}" for name in names} <= train_flags
 
 
 def test_config_values_are_defaults_not_flags(workdir, capsys):

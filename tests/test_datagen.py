@@ -31,6 +31,19 @@ def test_spec_validation():
         SimSpec(n=5, d=3, variant="toy_1d")
 
 
+def test_sizes_and_seed_must_be_integers():
+    """A float or bool size or seed is refused up front, not by numpy mid-draw."""
+    for kwargs in ({"n": 1e3}, {"n": 100, "d": 2.0}, {"n": 5, "seed": 1.5},
+                   {"n": 5, "seed": True}, {"n": True}, {"n": 5, "seed": -1}):
+        with pytest.raises(ValueError, match="must be an integer >= "):
+            SimSpec(**kwargs)
+    for m in (2.0, True, 0):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            generate_replicates(SimSpec(n=5), m=m)
+    spec = SimSpec(n=np.int64(5), d=np.int32(2), seed=np.uint8(3))
+    assert generate_replicates(spec, m=np.int64(2)).replicates.shape == (5, 2)
+
+
 def test_generation_is_deterministic():
     spec = SimSpec(n=50, d=3, variant="simdist", seed=42)
     a, b = generate(spec), generate(spec)

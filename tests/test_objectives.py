@@ -203,10 +203,10 @@ def test_negative_plan_rejected():
 
 
 def test_subgradient_rejects_zero_one_loss():
+    """zero_one has no subgradient, so the objective refuses it when built."""
     ds = Dataset([[0.0], [1.0]], [1.0, -1.0])
-    fn = ObjectiveFunction(ds, "zero_one", spec2(), "marginal")
-    with pytest.raises(ValueError):
-        fn.value_grad(np.zeros(2), 0.0, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="unknown loss kind 'zero_one'"):
+        ObjectiveFunction(ds, "zero_one", spec2(), "marginal")
 
 
 def test_confounded_objective():

@@ -7,8 +7,8 @@ import pytest
 import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 from marginaldro.datagen import SimSpec, generate
-from marginaldro.duals import RobustSpec, pnorm_dual
-from marginaldro.model import Dataset, loss_residual_slopes, loss_values
+from marginaldro.duals import RobustSpec, cvar_dual, pnorm_dual
+from marginaldro.model import Dataset, ParamVector, loss_residual_slopes, loss_values
 from marginaldro.optim import (
     OBJECTIVES,
     PLAN_OBJECTIVES,
@@ -16,7 +16,6 @@ from marginaldro.optim import (
     DivergenceError,
     ObjectiveFunction,
     OptimizerConfig,
-    optimal_eta_exact,
     train,
 )
 
@@ -47,16 +46,30 @@ def test_joint_cvar_at_alpha1_matches_erm():
 
 
 def test_optimal_eta_exact():
-    assert optimal_eta_exact([1, 2, 3, 4], 0.5, 1.0) == pytest.approx(3.0)
-    assert optimal_eta_exact([2.0, 2.0, 2.0], 0.4, 1.0) == pytest.approx(2.0)
-    assert optimal_eta_exact([1, 2, 3], 0.4, 2.0) == pytest.approx(
-        pnorm_dual([1, 2, 3], 0.4, 2.0)[1])
+    """The joint objectives refresh eta to the exact minimizer at the current
+    losses: cvar_dual's threshold for joint_cvar, pnorm_dual's for joint_pnorm."""
+    assert cvar_dual([1, 2, 3, 4], 0.5)[1] == pytest.approx(3.0)
+    assert cvar_dual([2.0, 2.0, 2.0], 0.4)[1] == pytest.approx(2.0)
+    v = np.array([1.0, 2.0, 3.0])
+    risk, eta = pnorm_dual(v, 0.4, 2.0)
+    etas = np.linspace(0.0, 3.0, 3001)
+    duals = [np.sqrt(np.mean(np.maximum(v - e, 0.0) ** 2)) / 0.4 + e for e in etas]
+    assert risk <= min(duals) + 1e-9
     # at alpha0 = 1 the dual objective is flat in eta below the minimum value,
     # so the returned threshold must attain the optimum (the mean)
     v = np.array([1.0, 2.0, 3.0, 4.0])
-    eta = optimal_eta_exact(v, 1.0, 1.0)
+    eta = cvar_dual(v, 1.0)[1]
     value = np.maximum(v - eta, 0.0).mean() + eta
     assert value == pytest.approx(v.mean())
+    # with one iteration, train returns the eta refreshed at w = 0
+    ds = linear_dataset()
+    losses = loss_values("absolute_deviation", ParamVector(np.zeros(1)), ds.features, ds.labels)
+    spec = RobustSpec(alpha0=0.3, p=1.5)
+    for objective, expected in (("joint_cvar", cvar_dual(losses, 0.3)[1]),
+                                ("joint_pnorm", pnorm_dual(losses, 0.3, 1.5)[1])):
+        result = train(ds, "absolute_deviation", spec,
+                       OptimizerConfig(objective=objective, max_iters=1))
+        assert result.eta == expected
 
 
 def test_trace_is_nonincreasing_and_deterministic():
@@ -113,12 +126,26 @@ def test_marginal_large_ratio_matches_joint_pnorm():
     assert joint_risk(marg.params) == pytest.approx(joint_risk(joint.params), rel=0.02)
 
 
-def test_eta_stays_projected():
+def test_eta_stays_projected(monkeypatch):
+    """Each eta the trainer evaluates lies in [0, the largest loss of the
+    previous iterate]; the first is the CVaR threshold of the first iterate."""
+    real_value_grad, seen = ObjectiveFunction.value_grad, []
+
+    def recorded(fn, w, eta=None, plan=None, beta=None):
+        losses = fn.losses(w) if fn.last_losses is None else fn.last_losses
+        seen.append((eta, losses.max()))
+        return real_value_grad(fn, w, eta, plan, beta)
+
+    monkeypatch.setattr(ObjectiveFunction, "value_grad", recorded)
     ds = generate(SimSpec(n=150, d=1, variant="toy_1d", seed=2))
-    spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=1.0, loss_bound=0.9)
+    spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=1.0)
+    # step0 = 2 pushes eta past the largest loss, so the projection acts
     result = train(ds, "absolute_deviation", spec,
-                   OptimizerConfig(objective="marginal", max_iters=80, step0=0.5))
-    assert 0.0 <= result.eta <= 0.9
+                   OptimizerConfig(objective="marginal", max_iters=80, step0=2.0))
+    assert len(seen) == 80
+    assert all(0.0 <= eta <= bound for eta, bound in seen)
+    assert any(eta == bound for eta, bound in seen)
+    assert result.eta in [eta for eta, _ in seen]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -158,8 +185,7 @@ def test_optimizer_config_validation():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["lipschitz_ratio", "eps", "delta", "loss_bound", "step0",
-                                   "ridge"])
+@pytest.mark.parametrize("field", ["lipschitz_ratio", "eps", "delta", "step0", "ridge"])
 def test_non_finite_hyperparameters_rejected(field, value):
     """NaN fails every comparison, so a range check alone would let it through."""
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -191,6 +217,22 @@ def test_p1_rejected_before_distances(monkeypatch, objective):
                 optim.minimize_eta_plan(losses, dist, minimizer_spec, iters=2)
     # p = 1 is the joint CVaR objective, which still trains
     train(ds, "absolute_deviation", spec, OptimizerConfig(objective="joint_cvar", max_iters=2))
+
+
+@pytest.mark.parametrize("objective", ["marginal", "marginal_confounded", "bounded_holder",
+                                       "rkhs"])
+def test_untrainable_loss_rejected_before_distances(monkeypatch, objective):
+    """A loss kind train cannot take is refused before any n x n build."""
+    def no_distances(*args):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(optim, "pairwise_distance_power", no_distances)
+    monkeypatch.setattr(optim, "median_bandwidth", no_distances)
+    x = np.linspace(-1.0, 1.0, 12)[:, None]
+    ds = Dataset(x, np.where(x[:, 0] >= 0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="unknown loss kind 'zero_one'"):
+        train(ds, "zero_one", RobustSpec(alpha0=0.3, p=2.0),
+              OptimizerConfig(objective=objective, max_iters=2))
 
 
 def test_marginal_takes_its_confounding_from_delta():

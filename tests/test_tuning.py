@@ -217,6 +217,13 @@ def test_p1_bounded_holder_rejected_before_training(monkeypatch):
                        [1.0, 10.0], holdout)
 
 
+def test_untrainable_loss_rejected_before_training(monkeypatch):
+    monkeypatch.setattr(tuning, "train", _no_training)
+    ds, holdout = setup_data(seed=9, n=40)
+    with pytest.raises(ValueError, match="unknown loss kind 'zero_one'"):
+        cross_validate(ds, "zero_one", SPEC, OPT, [1.0, 10.0], holdout)
+
+
 @pytest.mark.parametrize("objective", ["erm", "joint_cvar", "rkhs"])
 def test_objective_without_lipschitz_ratio_rejected_before_training(monkeypatch, objective):
     monkeypatch.setattr(tuning, "train", _no_training)

@@ -15,8 +15,6 @@ from marginaldro.variational import (
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(bandwidth=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth=1.0, radius=-1.0)
     with pytest.raises(TypeError):
         KernelSpec(bandwidth=1.0, kind="laplacian")
 
