@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-
 from dataclasses import fields
 
 import numpy as np

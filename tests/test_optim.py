@@ -128,7 +128,8 @@ def test_marginal_large_ratio_matches_joint_pnorm():
 
 def test_eta_stays_projected(monkeypatch):
     """Each eta the trainer evaluates lies in [0, the largest loss of the
-    previous iterate]; the first is the CVaR threshold of the first iterate."""
+    previous iterate]; the first, the CVaR threshold at w = 0, in [0, the
+    largest loss at w = 0]."""
     real_value_grad, seen = ObjectiveFunction.value_grad, []
 
     def recorded(fn, w, eta=None, plan=None, beta=None):
