@@ -30,14 +30,13 @@ from .optim import (
     train,
 )
 from .tuning import cross_validate
-from .variational import KernelSpec, bounded_holder_objective, gram, rkhs_objective
+from .variational import bounded_holder_objective, gram, rkhs_objective
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
     "DivergenceError",
-    "KernelSpec",
     "OptimizerConfig",
     "ParamVector",
     "RiskReport",

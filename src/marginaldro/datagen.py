@@ -9,6 +9,12 @@ Z ~ Bernoulli(alpha_true), X1 = (1 - 2Z) * U[0, 1]:
                  on a symmetric five-point grid.
 
 Rows with X1 < 0 form the noiseless minority group (Y = |X1| exactly).
+So on both noisy variants the conditional risk jumps at X1 = 0 for every
+theta: from about 0 on the noiseless side to the folded-normal mean
+sqrt(2/pi) ~ 0.798 on the noisy side (theta in {0, 0.65, 1} at x1 = -1e-9
+and 1e-9, other coordinates 0, gives 1e-9 and 0.7979).  The generator thus
+breaks the Lipschitz assumption on the risk at that one point.
+
 ``generate`` and ``generate_replicates`` share one private draw: numpy's
 PCG64 with SeedSequence-spawned streams per column, so for the same spec the
 covariates are bit-identical, and ``generate`` is ``generate_replicates``

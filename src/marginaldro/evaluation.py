@@ -42,7 +42,7 @@ class RiskReport:
         self.risks = np.asarray(self.risks, dtype=float).ravel()
         if self.alphas.shape != self.risks.shape:
             raise ValueError("alphas and risks must have matching lengths")
-        if np.any(self.alphas <= 0) or np.any(self.alphas > 1):
+        if not np.all((self.alphas > 0) & (self.alphas <= 1)):  # NaN fails too
             raise ValueError("test-time alpha0 values must lie in (0, 1]")
 
     def rows(self):

@@ -42,12 +42,11 @@ FLOOR_FRACTION = 1e-3
 FLOAT32_PLAN_N = 1024
 
 # n x n arrays train holds at the plan dtype (the plan, the plan step's spare
-# and the folded penalty), and float64 ones alive while distances are built
+# and the folded penalty), besides the float64 distance matrix
 PLAN_ARRAYS = 3
-DISTANCE_BUILD_ARRAYS = 2
 
-# rows per block of a pass over a dense plan; fixed, so block sums reduce in
-# the same order for any worker count
+# rows per block of a pass over a dense plan or a distance build; fixed, so
+# block sums reduce in the same order for any worker count
 BLOCK_ROWS = 64
 
 # plan blocks run on one thread per CPU this process may use: the calling
@@ -77,15 +76,18 @@ def dense_array(shape, dtype=np.float64) -> np.ndarray:
 def squared_distances(features: np.ndarray) -> np.ndarray:
     """Matrix of squared Euclidean distances ||x_i - x_j||^2, zero on the diagonal.
 
-    Built in place from |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so at most two n x n
-    float64 arrays are alive at once.
+    Built in place as (-2 x_i.x_j) + |x_i|^2 + |x_j|^2, which has the bits of
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so the returned array is the only n x n one.
     """
-    x = np.atleast_2d(np.asarray(features, dtype=float))
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"features must be a 2-d (n, d) array, got shape {x.shape}")
     sq = np.sum(x * x, axis=1)
-    d2 = np.add.outer(sq, sq, out=dense_array((sq.size,) * 2))
-    xx = np.matmul(x, x.T, out=dense_array((sq.size,) * 2))
-    xx *= 2.0
-    d2 -= xx
+    d2 = np.matmul(x, x.T, out=dense_array((sq.size,) * 2))
+    for r0 in range(0, sq.size, BLOCK_ROWS):
+        blk = d2[r0:r0 + BLOCK_ROWS]
+        blk *= -2.0
+        blk += np.add.outer(sq[r0:r0 + BLOCK_ROWS], sq)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -107,7 +109,7 @@ def plan_dtype(n: int) -> np.dtype:
 
 def dense_plan_bytes(n: int) -> int:
     """Bytes of the n x n arrays ``train`` allocates for a plan objective."""
-    return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + DISTANCE_BUILD_ARRAYS * 8)
+    return n * n * (PLAN_ARRAYS * plan_dtype(n).itemsize + 8)
 
 
 def check_memory(n: int, nbytes: int):

@@ -23,7 +23,6 @@ from .model import (Dataset, ParamVector, _check_integer, _check_kind, loss_valu
                     loss_values_and_slopes)
 from .objectives import (
     DensePlanStep,
-    DISTANCE_BUILD_ARRAYS,
     TransportKernel,
     _frozen_loss_problem,
     check_memory,
@@ -31,7 +30,7 @@ from .objectives import (
     pairwise_distance_power,
     resolve_eps,
 )
-from .variational import KernelSpec, gram, holder_constant, median_bandwidth
+from .variational import gram, holder_constant
 
 # objective -> the RobustSpec fields it reads, among alpha0, p,
 # lipschitz_ratio, eps and delta.  "marginal_confounded" is another name for
@@ -121,7 +120,8 @@ class ObjectiveFunction:
         if self.uses_plan:
             check_memory(n, dense_plan_bytes(n))
         elif self.uses_beta:
-            check_memory(n, DISTANCE_BUILD_ARRAYS * 8 * n * n)
+            # the Gram matrix and median_bandwidth's upper-triangle copy
+            check_memory(n, 8 * (n * n + n * (n - 1) // 2))
         self.dataset = dataset
         self.kind = kind
         self.objective = objective
@@ -138,8 +138,7 @@ class ObjectiveFunction:
             else:
                 self.transport = TransportKernel(dist, spec)
         if self.uses_beta:
-            self.k = gram(dataset.features,
-                          KernelSpec(bandwidth=median_bandwidth(dataset.features)))
+            self.k = gram(dataset.features)
         self.spec = spec
         self.last_losses: np.ndarray | None = None
 

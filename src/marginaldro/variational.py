@@ -9,43 +9,33 @@ worst-case dual; the training problem adds the outer + eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .duals import RobustSpec
-from .objectives import plan_adjustments, squared_distances, _check_inputs, _require_eps
+from .objectives import (_check_inputs, _require_eps, dense_array, plan_adjustments,
+                         squared_distances)
 
 PSD_TOL = 1e-8
 
 
-@dataclass
-class KernelSpec:
-    """Gaussian kernel with bandwidth sigma."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError("bandwidth must be positive and finite")
-
-
-def median_bandwidth(features: np.ndarray) -> float:
-    """Median pairwise distance, the usual default kernel scale."""
-    d2 = squared_distances(features)
+def median_bandwidth(d2: np.ndarray) -> float:
+    """Median pairwise distance of a squared-distance matrix, the usual default
+    kernel scale; ``d2`` is left unchanged."""
     n = d2.shape[0]
-    off = d2.reshape(-1)[:n * (n - 1) // 2]
-    for i in range(n - 1):  # the upper triangle, row by row, to the front of d2
+    off = dense_array(n * (n - 1) // 2)
+    for i in range(n - 1):  # the upper triangle, row by row
         off[i * n - i * (i + 1) // 2:][:n - 1 - i] = d2[i, i + 1:]
     med = float(np.sqrt(np.median(off, overwrite_input=True))) if off.size else 1.0
     return med if med > 0 else 1.0
 
 
-def gram(features: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix k_ij = exp(-||x_i - x_j||^2 / (2 sigma^2))."""
+def gram(features: np.ndarray) -> np.ndarray:
+    """Gram matrix k_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)) of the Gaussian
+    kernel at the median bandwidth sigma, built in the distance matrix."""
     k = squared_distances(features)
+    sigma = median_bandwidth(k)
     np.negative(k, out=k)
-    k /= 2.0 * kernel.bandwidth**2
+    k /= 2.0 * sigma**2
     np.exp(k, out=k)
     return k
 

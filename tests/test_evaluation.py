@@ -35,6 +35,12 @@ def test_report_validation():
         RiskReport([0.5], [1.0, 2.0], "x", 1.0)
 
 
+def test_report_rejects_nan_alpha():
+    """A NaN alpha0 is not in (0, 1], so it is rejected like any other."""
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        RiskReport(np.array([np.nan, 0.5]), np.array([1.0, 0.9]), "x", 0.8)
+
+
 def test_eval_joint_examples():
     ds = Dataset([[0.0], [1.0]], [0.0, 2.0])
     p0 = ParamVector([0.0])

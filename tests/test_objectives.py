@@ -1,3 +1,4 @@
+import itertools
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -19,9 +20,10 @@ from marginaldro.objectives import (
     primal_inner_sup,
     resolve_eps,
     robust_surrogate,
+    squared_distances,
 )
 from marginaldro.optim import ObjectiveFunction, minimize_eta_plan, minimize_plan
-from marginaldro.variational import KernelSpec, bounded_holder_objective, gram, median_bandwidth
+from marginaldro.variational import bounded_holder_objective, gram, median_bandwidth
 
 TWO_POINT = dict(
     losses=np.array([0.0, 2.0]),
@@ -53,11 +55,14 @@ def test_pairwise_distance_power():
 
 def test_pairwise_distance_power_matches_broadcast_formula():
     """The in-place builds give the bits of the plain broadcast expressions,
-    for the distances and for the Gram matrix and median bandwidth."""
+    for the distances and for the Gram matrix and median bandwidth, around
+    the BLOCK_ROWS edges and at small and large scales."""
     rng = np.random.default_rng(3)
-    for n, d, p in [(1, 1, 2.0), (7, 1, 1.5), (60, 2, 2.0), (60, 2, 3.0),
-                    (300, 5, 1.5), (1100, 2, 2.0)]:
-        x = rng.normal(size=(n, d))
+    cases = [(1, 1, 2.0), (7, 1, 1.5), (60, 2, 2.0), (60, 2, 3.0), (300, 5, 1.5),
+             (1100, 2, 2.0), (2000, 2, 2.0)]
+    cases += [(n, 20, 2.0) for n in (63, 64, 65, 129)]
+    for (n, d, p), scale in itertools.product(cases, (1e-3, 1.0, 1e3)):
+        x = scale * rng.normal(size=(n, d))
         sq = np.sum(x * x, axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
         dist = np.sqrt(np.maximum(d2, 0.0))
@@ -66,13 +71,24 @@ def test_pairwise_distance_power_matches_broadcast_formula():
         assert np.array_equal(pairwise_distance_power(x, p), expected)
 
         d2 = np.maximum(d2, 0.0)
-        kernel = KernelSpec(bandwidth=0.7)
-        k = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-        np.fill_diagonal(k, 1.0)
-        assert np.array_equal(gram(x, kernel), k)
+        np.fill_diagonal(d2, 0.0)
         off = d2[np.triu_indices(n, k=1)]
         med = float(np.sqrt(np.median(off))) if off.size else 1.0
-        assert median_bandwidth(x) == (med if med > 0 else 1.0)
+        med = med if med > 0 else 1.0
+        built = squared_distances(x)
+        assert np.array_equal(built, d2)
+        assert median_bandwidth(built) == med
+        assert np.array_equal(built, d2)  # median_bandwidth leaves d2 as it was
+        assert np.array_equal(gram(x), np.exp(-d2 / (2.0 * med**2)))
+
+
+@pytest.mark.parametrize("features", [np.array([0.0, 1.0, 2.0]), np.zeros((2, 2, 2)),
+                                      np.float64(1.0)])
+def test_distance_builds_reject_features_that_are_not_2d(features):
+    """A vector is not read as one point of len(vector) coordinates."""
+    for build in (squared_distances, lambda x: pairwise_distance_power(x, 2.0), gram):
+        with pytest.raises(ValueError, match="2-d"):
+            build(features)
 
 
 def _kernel_and_plan(n, seed=0):

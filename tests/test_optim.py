@@ -228,7 +228,7 @@ def test_untrainable_loss_rejected_before_distances(monkeypatch, objective):
         raise AssertionError("distance matrix built")
 
     monkeypatch.setattr(optim, "pairwise_distance_power", no_distances)
-    monkeypatch.setattr(optim, "median_bandwidth", no_distances)
+    monkeypatch.setattr(optim, "gram", no_distances)
     x = np.linspace(-1.0, 1.0, 12)[:, None]
     ds = Dataset(x, np.where(x[:, 0] >= 0, 1.0, -1.0))
     with pytest.raises(ValueError, match="unknown loss kind 'zero_one'"):
@@ -259,23 +259,24 @@ def test_memory_is_checked_before_n_by_n_arrays(monkeypatch):
     """Dense objectives raise MemoryError before any n x n array when their
     bytes exceed the machine's memory, and train at the real figure."""
     # float64 at n = 12: the plan, its spare buffer and the folded penalty,
-    # plus the two float64 arrays of the distance build
-    assert optim.dense_plan_bytes(12) == 12 * 12 * (3 * 8 + 2 * 8)
+    # plus the one float64 array of the distance build
+    assert optim.dense_plan_bytes(12) == 12 * 12 * (3 * 8 + 8)
     # float32 plans from FLOAT32_PLAN_N on
-    assert optim.dense_plan_bytes(20001) == 20001**2 * (3 * 4 + 2 * 8)
+    assert optim.dense_plan_bytes(20001) == 20001**2 * (3 * 4 + 8)
 
     def no_n_by_n(*args):
         raise AssertionError("an n x n array was built")
 
     ds = generate(SimSpec(n=40, d=2, variant="simdist", seed=0))
     spec = RobustSpec(alpha0=0.3, p=2.0)
-    # rkhs builds two float64 arrays for its distances, then the Gram matrix
-    for objective, nbytes in (("marginal", 40 * 40 * 40), ("bounded_holder", 40 * 40 * 40),
-                              ("rkhs", 40 * 40 * 16)):
+    # rkhs builds its Gram matrix in the float64 distance matrix, beside a
+    # float64 copy of the upper triangle for the median bandwidth
+    for objective, nbytes in (("marginal", 40 * 40 * 32), ("bounded_holder", 40 * 40 * 32),
+                              ("rkhs", 40 * 40 * 8 + 40 * 39 // 2 * 8)):
         opt = OptimizerConfig(objective=objective, max_iters=3)
         with monkeypatch.context() as m:
             m.setattr(optim, "pairwise_distance_power", no_n_by_n)
-            m.setattr(optim, "median_bandwidth", no_n_by_n)
+            m.setattr(optim, "gram", no_n_by_n)
             m.setattr(objectives, "MEMORY_BYTES", nbytes - 1)
             with pytest.raises(MemoryError, match=f"n = 40 needs {nbytes:,} bytes.*"
                                                   f" {nbytes - 1:,} bytes"):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from marginaldro.duals import RobustSpec
-from marginaldro.objectives import pairwise_distance_power, plan_adjustments
+from marginaldro.objectives import pairwise_distance_power, plan_adjustments, squared_distances
 from marginaldro.variational import (
-    KernelSpec,
     bounded_holder_objective,
     gram,
     median_bandwidth,
@@ -12,27 +11,20 @@ from marginaldro.variational import (
 )
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth=0.0)
-    with pytest.raises(TypeError):
-        KernelSpec(bandwidth=1.0, kind="laplacian")
-
-
 def test_gram_values():
     sigma = 0.7
     x = np.array([[0.0, 0.0], [sigma * np.sqrt(2.0), 0.0], [0.0, 0.0]])
-    k = gram(x, KernelSpec(bandwidth=sigma))
+    k = gram(x)  # squared distances 2 sigma^2, 0, 2 sigma^2: median 2 sigma^2
     assert np.allclose(np.diag(k), 1.0)
-    assert k[0, 1] == pytest.approx(np.exp(-1.0))
+    assert k[0, 1] == pytest.approx(np.exp(-0.5))
     assert k[0, 2] == pytest.approx(1.0)  # duplicate rows
     assert np.allclose(k, k.T)
 
 
 def test_median_bandwidth_positive():
     rng = np.random.default_rng(0)
-    assert median_bandwidth(rng.normal(size=(30, 2))) > 0
-    assert median_bandwidth(np.zeros((5, 2))) == 1.0  # degenerate fallback
+    assert median_bandwidth(squared_distances(rng.normal(size=(30, 2)))) > 0
+    assert median_bandwidth(np.zeros((5, 5))) == 1.0  # degenerate fallback
 
 
 def test_rkhs_objective_examples():
@@ -86,7 +78,7 @@ def test_objectives_midpoint_convex():
     losses = rng.uniform(0, 2, n)
     x = rng.uniform(-1, 1, (n, 2))
     dist = pairwise_distance_power(x, 2.0)
-    k = gram(x, KernelSpec(bandwidth=1.0))
+    k = gram(x)
     spec = spec_with(alpha0=0.4)
     for _ in range(50):
         e1, e2 = rng.uniform(-0.5, 2.5, size=2)
@@ -123,7 +115,7 @@ def test_smoothing_improves_on_zero():
         best = min(best, bounded_holder_objective(losses, dist, eta, plan, spec))
     assert best <= at_zero + 1e-12
 
-    k = gram(x, KernelSpec(bandwidth=1.0))
+    k = gram(x)
     at_zero = rkhs_objective(losses, k, eta, np.zeros(n), 0.4, 1.0)
     beta = np.zeros(n)
     best = at_zero
