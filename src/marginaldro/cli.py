@@ -37,10 +37,6 @@ from .tuning import cross_validate
 USAGE_EXIT = 2
 NUMERIC_EXIT = 1
 
-CONFIG_KEYS = ("objective", "loss", "alpha0", "p", "lipschitz_ratio", "eps", "delta",
-               "n", "d", "seed", "iters", "step0", "ridge", "in_csv", "out_csv",
-               "alphas")
-
 EVAL_ALPHAS_DEFAULT = "0.05,0.1,0.15,0.3,0.5,1.0"
 
 
@@ -57,7 +53,7 @@ def main(argv=None) -> int:
         given = {act.option_strings[-1] for act in subparser._actions  # noqa: SLF001
                  if act.option_strings and getattr(args, act.dest, act.default) != act.default}
         if args.config:
-            _apply_config_defaults(subparser, args.config)
+            _apply_config_defaults(subparsers, args.command, args.config)
             args = parser.parse_args(argv)  # command-line flags still win
         args.given = given
         return args.func(args)
@@ -100,7 +96,6 @@ def _build_parser():
         p.add_argument("--delta", type=float, default=0.0)
         p.add_argument("--iters", type=int, default=iters)
         p.add_argument("--step0", type=float, default=0.5)
-        p.add_argument("--ridge", type=float, default=0.0)
         p.add_argument("--no-intercept", action="store_true")
 
     g = command("gen", "generate a synthetic dataset CSV", cmd_gen)
@@ -146,10 +141,14 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _apply_config_defaults(subparser, path):
-    """Install config-file values as subcommand defaults; flags override them."""
+def _apply_config_defaults(subparsers, command, path):
+    """Install config-file values as ``command``'s defaults; flags override them."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
+    # a key is the dest of any subcommand's option that takes a value and is not required
+    keys = {act.dest for sub in subparsers.values() for act in sub._actions  # noqa: SLF001
+            if act.option_strings and act.nargs != 0 and not act.required} - {"config"}
+    actions = {act.dest: act for act in subparsers[command]._actions}  # noqa: SLF001
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -159,13 +158,17 @@ def _apply_config_defaults(subparser, path):
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            # argparse checks choices only on the command line
+            choices = getattr(actions.get(key), "choices", None)
+            if choices is not None and value not in choices:
+                raise UsageError(f"{path}:{lineno}: {key}={value} is not one of "
+                                 + ", ".join(choices))
             overrides[key] = value
-    dests = {act.dest for act in subparser._actions}  # noqa: SLF001
     # string defaults go through each flag's type when parsed, so a bad value
     # is reported against its flag; valid keys this subcommand lacks are skipped
-    subparser.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+    subparsers[command].set_defaults(**{k: v for k, v in overrides.items() if k in actions})
 
 
 def _seed_of(args) -> int:
@@ -344,8 +347,7 @@ def _robust_spec(args):
 
 def _opt_config(args) -> OptimizerConfig:
     return OptimizerConfig(objective=args.objective, max_iters=args.iters,
-                           step0=args.step0, ridge=args.ridge,
-                           fit_intercept=not args.no_intercept)
+                           step0=args.step0, fit_intercept=not args.no_intercept)
 
 
 def cmd_gen(args) -> int:

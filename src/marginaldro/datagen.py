@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, ParamVector, _check_integer, _row_blocks
+from .model import Dataset, ParamVector, _check_integer, _feature_matrix, _row_blocks
 
 VARIANTS = ("toy_1d", "simdist", "confounded")
 
@@ -129,7 +129,7 @@ def conditional_risks(params: ParamVector, features, variant: str) -> np.ndarray
     # imported on first use, so that importing the package loads no scipy
     from scipy.special import erf
 
-    features = np.atleast_2d(np.asarray(features, dtype=float))
+    features = _feature_matrix(features)
     risks = params.predict(features)
     for rows in _row_blocks(len(risks)):  # each block's predictions become its risks
         pred, x1 = risks[rows], features[rows, 0]

@@ -44,6 +44,13 @@ def _check_integer(name: str, value, low: int):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _feature_matrix(features) -> np.ndarray:
+    """``features`` as a float array, which must be 2-d: one row per point."""
+    if (x := np.asarray(features, dtype=float)).ndim != 2:
+        raise ValueError(f"features must be a 2-d (n, d) array, got shape {x.shape}")
+    return x
+
+
 def _check_kind(kind, trainable=False):
     allowed = TRAINABLE_LOSS_KINDS if trainable else LOSS_KINDS
     if kind not in allowed:
@@ -83,9 +90,9 @@ class Dataset:
             raise ValueError(f"labels shape {self.labels.shape} does not match n={n}")
         _require_finite("features and labels must be finite", self.features, self.labels)
         if self.replicates is not None:
-            self.replicates = np.atleast_2d(np.asarray(self.replicates, dtype=float))
-            if self.replicates.shape[0] != n:
-                raise ValueError("replicates must have one row per example")
+            reps = self.replicates = np.asarray(self.replicates, dtype=float)
+            if reps.ndim != 2 or len(reps) != n or reps.shape[1] < 1:
+                raise ValueError(f"replicates must be an (n, m) matrix, m >= 1, got {reps.shape}")
             _require_finite("replicates must be finite", self.replicates)
         for name in ("group", "confounder"):
             col = getattr(self, name)
@@ -109,7 +116,7 @@ class Dataset:
 
 @dataclass
 class ParamVector:
-    """Linear model parameters; the intercept is kept out of regularization."""
+    """Linear model parameters: the weights theta and an intercept."""
 
     theta: np.ndarray
     intercept: float = 0.0
@@ -121,7 +128,7 @@ class ParamVector:
             raise ValueError("parameters must be finite")
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
+        features = _feature_matrix(features)
         if features.shape[1] != self.theta.shape[0]:
             raise ValueError(
                 f"feature dimension {features.shape[1]} does not match "

@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .duals import RobustSpec
-from .model import ParamVector, loss_values
+from .model import ParamVector, _feature_matrix, loss_values
 
 # default policy: eps is set so the floor term eps^(q-1)/alpha0 stays below
 # this fraction of the mean loss
@@ -79,9 +79,7 @@ def squared_distances(features: np.ndarray) -> np.ndarray:
     Built in place as (-2 x_i.x_j) + |x_i|^2 + |x_j|^2, which has the bits of
     |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so the returned array is the only n x n one.
     """
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"features must be a 2-d (n, d) array, got shape {x.shape}")
+    x = _feature_matrix(features)
     sq = np.sum(x * x, axis=1)
     d2 = np.matmul(x, x.T, out=dense_array((sq.size,) * 2))
     for r0 in range(0, sq.size, BLOCK_ROWS):

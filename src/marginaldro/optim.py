@@ -66,7 +66,6 @@ class OptimizerConfig:
     objective: str = "erm"
     max_iters: int = 400
     step0: float = 0.2
-    ridge: float = 0.0
     fit_intercept: bool = True
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class OptimizerConfig:
         _check_integer("max_iters", self.max_iters, 1)
         if not (np.isfinite(self.step0) and self.step0 > 0):
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
-        if not (np.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass
@@ -107,8 +104,7 @@ class ObjectiveFunction:
     distance (``median_bandwidth``) and the RKHS norm budget R = 1.
     """
 
-    def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str,
-                 ridge: float = 0.0):
+    def __init__(self, dataset: Dataset, kind: str, spec: RobustSpec, objective: str):
         if objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
         _check_kind(kind, trainable=True)
@@ -125,7 +121,6 @@ class ObjectiveFunction:
         self.dataset = dataset
         self.kind = kind
         self.objective = objective
-        self.ridge = ridge
         self.xa = np.column_stack([dataset.features, np.ones(n)])
         if self.uses_plan:
             spec = resolve_eps(spec, loss_values(kind, ParamVector(np.zeros(dataset.d)),
@@ -164,9 +159,6 @@ class ObjectiveFunction:
         g_eta = 1.0 - v.sum() / s if self.uses_eta else None
         plan_vec = extra if self.uses_plan else None
         g_beta = extra if self.uses_beta else None
-        if self.ridge:
-            value += self.ridge * float(w[:-1] @ w[:-1])
-            g_w[:-1] += 2.0 * self.ridge * w[:-1]
         return value, g_w, g_eta, plan_vec, g_beta
 
     def plan_step(self, plan: np.ndarray, plan_vec, step: float, keep=None):
@@ -233,7 +225,7 @@ def train(dataset: Dataset, kind: str, spec: RobustSpec, opt: OptimizerConfig) -
     the zero plan and passes the best iterate as ``keep``, so the step
     writes around it and the best plan is never copied.
     """
-    fn = ObjectiveFunction(dataset, kind, spec, opt.objective, ridge=opt.ridge)
+    fn = ObjectiveFunction(dataset, kind, spec, opt.objective)
     spec = fn.spec
     n = dataset.n
 

@@ -217,7 +217,7 @@ def test_criterion_5_gradients_match_finite_differences():
             y = (rng.uniform(-1, 1, n) if kind == "absolute_deviation"
                  else rng.choice([-1.0, 1.0], n))
             spec = RobustSpec(alpha0=0.4, p=2.0, lipschitz_ratio=1.2, eps=0.05, delta=0.7)
-            fn = ObjectiveFunction(Dataset(X, y), kind, spec, objective, ridge=0.01)
+            fn = ObjectiveFunction(Dataset(X, y), kind, spec, objective)
             w = rng.normal(size=d + 1) * 0.5
             eta = float(rng.uniform(0.05, 0.6)) if fn.uses_eta else None
             plan = np.abs(rng.normal(size=(n, n))) * 0.4 if fn.uses_plan else None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import marginaldro.objectives as objectives
-from marginaldro import RobustSpec, cli, tuning
+from marginaldro import OptimizerConfig, RobustSpec, cli, tuning
 from marginaldro.cli import (
     main,
     read_dataset_csv,
@@ -518,6 +518,42 @@ def test_config_file_and_overrides(workdir):
     bad.write_text("not_a_key=1\n")
     r = run_cli("gen", "--config", str(bad))
     assert r.returncode == 2 and "not_a_key" in r.stderr
+
+
+def test_config_keys_are_the_value_flags(workdir, capsys):
+    """Any subcommand's option that takes a value is a config key, and its value
+    must be one of the option's choices; switches, config, figure and the required
+    --model, which argparse wants on the command line, are not keys."""
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("variant=toy_1d\n")
+    assert main(["gen", "--n", "3", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["gen", "--n", "3", "--variant", "toy_1d"]) == 0
+    assert capsys.readouterr().out == from_config
+    (workdir / "m.txt").write_text("0.0\n0.0\n")
+    cfg.write_text("mode=bogus\n")
+    assert main(["eval", "--model", str(workdir / "m.txt"), "--variant", "toy_1d",
+                 "--n", "5", "--config", str(cfg)]) == 2
+    assert "mode=bogus is not one of oracle, replicates, joint" in capsys.readouterr().err
+    for key in ("no_intercept", "not_a_key", "config", "figure", "model"):
+        cfg.write_text(f"{key}=1\n")
+        assert main(["gen", "--n", "2", "--config", str(cfg)]) == 2, key
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_ridge_is_not_a_setting(workdir, capsys):
+    """The objectives have no ridge term, so no field, flag or config key sets one."""
+    with pytest.raises(TypeError):
+        OptimizerConfig(ridge=0.1)
+    csv, model = str(workdir / "lin.csv"), workdir / "m.txt"
+    write_line_csv(csv)
+    argv = ["train", "--in-csv", csv, "--iters", "5", "--out-model", str(model)]
+    assert main([*argv, "--ridge", "0.1"]) == 2
+    cfg = workdir / "cfg.txt"
+    cfg.write_text("ridge=0.1\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "unknown config key 'ridge'" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_dro_seed_env_fallback():

@@ -146,6 +146,13 @@ def test_oracle_rejects_confounded():
         conditional_risks(ParamVector([1.0]), [[0.5]], "confounded")
 
 
+def test_oracle_rejects_features_that_are_not_2d():
+    """Three x1 values are not one 3-d point: the caller must pass an (n, d) matrix."""
+    with pytest.raises(ValueError, match="features must be a 2-d"):
+        conditional_risks(ParamVector([0.5, 0.5, 0.5]), np.array([0.0, 1.0, 2.0]),
+                          "simdist")
+
+
 def test_oracle_matches_monte_carlo():
     rng = np.random.default_rng(9)
     eps = rng.standard_normal(100_000)

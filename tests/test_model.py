@@ -134,6 +134,10 @@ def test_dataset_validation():
         Dataset([[1.0], [2.0]], [1.0, 2.0], replicates=[[1.0]])
     with pytest.raises(ValueError):
         Dataset([[1.0], [2.0]], [1.0, 2.0], group=[0.0, 2.0])
+    # no replicate column, or a 3-d array with n rows, is not m >= 1 labels per row
+    for replicates in (np.empty((3, 0)), np.ones((3, 2, 1)), np.ones(3)):
+        with pytest.raises(ValueError, match=r"replicates must be an \(n, m\) matrix"):
+            Dataset(np.ones((3, 1)), np.ones(3), replicates=replicates)
     ds = Dataset([[1.0], [2.0]], [1.0, 2.0], replicates=[[1.0, 2.0], [3.0, 4.0]])
     assert ds.n == 2 and ds.d == 1 and ds.replicates.shape == (2, 2)
 
@@ -173,3 +177,7 @@ def test_param_vector_validation():
     with pytest.raises(ValueError):
         p.predict(np.ones((4, 3)))
     assert np.allclose(p.predict(np.array([[1.0, 1.0]])), [6.0])
+    # a vector is not read as one point of len(vector) coordinates
+    for features in (np.array([0.0, 1.0, 2.0]), np.zeros((1, 3, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="features must be a 2-d"):
+            ParamVector([0.5, 0.5, 0.5]).predict(features)
