@@ -17,8 +17,7 @@ maximization.
 import numpy as np
 
 from marginaldro import RobustSpec, pairwise_distance_power, pnorm_dual, primal_inner_sup
-from marginaldro.objectives import plan_adjustments
-from marginaldro.optim import minimize_eta_plan, minimize_plan
+from marginaldro.objectives import minimize_eta_plan, minimize_plan, plan_adjustments
 
 rng = np.random.default_rng(3)
 n = 4

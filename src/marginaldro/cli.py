@@ -12,7 +12,7 @@ Every command is deterministic given its flags and config file; a command
 that draws takes --seed (environment variable DRO_SEED is the fallback).
 Rows come from --in-csv or a seeded --variant draw (``_dataset``); a flag
 the run would ignore is a usage error, among them each hyperparameter flag
-whose field the objective does not read (``optim.SPEC_FIELDS``).  Exit
+whose field the objective does not read (``duals.SPEC_FIELDS``).  Exit
 codes: 0 on success, 1 on numeric failure, 2 on usage or I/O errors and on
 a MemoryError raised before the n x n arrays are built.
 """
@@ -20,18 +20,20 @@ a MemoryError raised before the n x n arrays are built.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 
 from .datagen import SimSpec, generate, generate_replicates, CONFOUNDER_SUPPORT, VARIANTS
-from .duals import RobustSpec
+from .duals import OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, RobustSpec
 from .evaluation import eval_joint, eval_oracle, eval_replicates, ORACLE_EVAL_ROWS
 from .model import LOSS_KINDS, ROW_BLOCK, TRAINABLE_LOSS_KINDS, Dataset, ParamVector, _row_blocks
-from .optim import OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, OptimizerConfig, train
+from .optim import OptimizerConfig, train
 from .tuning import cross_validate
 
 USAGE_EXIT = 2
@@ -220,6 +222,9 @@ def _write_csv_chunks(fh, cols, mats, n):
 def read_dataset_csv(path, loss_kind: str = "absolute_deviation") -> Dataset:
     """Parse a dataset CSV written by ``write_dataset_csv`` (or compatible).
 
+    The header names columns x0..x{d-1} and y, and optionally z, c and
+    y_rep0..y_rep{m-1}, in any order; features and replicates are placed by
+    their number.  Any other or repeated name is an error that names it.
     For classification losses, {0, 1} labels (and replicate labels) are
     mapped to {-1, +1}.
     """
@@ -231,7 +236,7 @@ def read_dataset_csv(path, loss_kind: str = "absolute_deviation") -> Dataset:
             raise UsageError(f"{path}: empty file")
         names = header.split(",")
         try:
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+            body = _loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
             raise UsageError(f"{path}: could not parse numeric body: {err}") from None
     if body.size == 0:
@@ -239,12 +244,17 @@ def read_dataset_csv(path, loss_kind: str = "absolute_deviation") -> Dataset:
     if body.shape[1] != len(names):
         raise UsageError(f"{path}: header has {len(names)} columns, rows have {body.shape[1]}")
     cols = {name: body[:, i] for i, name in enumerate(names)}
-    feat_names = [n for n in names if n.startswith("x")]
+    feat_names = _numbered("x", cols)
     if not feat_names or "y" not in cols:
         raise UsageError(f"{path}: expected columns x0..x{{d-1}} and y")
+    rep_names = _numbered("y_rep", cols)
+    known = {*feat_names, *rep_names, "y", "z", "c"}
+    for i, name in enumerate(names):
+        if name not in known or name in names[:i]:
+            raise UsageError(f"{path}: unexpected column {name!r}; the columns are "
+                             "x0..x{d-1}, y, z, c and y_rep0..y_rep{m-1}, each once")
     features = np.column_stack([cols[n] for n in feat_names])
     labels = cols["y"]
-    rep_names = [n for n in names if n.startswith("y_rep")]
     replicates = np.column_stack([cols[n] for n in rep_names]) if rep_names else None
     if loss_kind in ("logistic", "zero_one"):
         labels = _map_binary(labels, path)
@@ -252,6 +262,19 @@ def read_dataset_csv(path, loss_kind: str = "absolute_deviation") -> Dataset:
             replicates = _map_binary(replicates, path)
     return Dataset(features, labels, replicates=replicates,
                    group=cols.get("z"), confounder=cols.get("c"))
+
+
+def _numbered(prefix, cols):
+    """The names prefix0, prefix1, ... up to the first one ``cols`` lacks."""
+    names = (f"{prefix}{i}" for i in itertools.count())
+    return list(itertools.takewhile(cols.__contains__, names))
+
+
+def _loadtxt(source, **kwargs):
+    """``np.loadtxt`` without its warning on empty input, which callers report."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, **kwargs)
 
 
 def _map_binary(values, path):
@@ -272,7 +295,7 @@ def write_model(params: ParamVector, path):
 def read_model(path) -> ParamVector:
     if not os.path.exists(path):
         raise UsageError(f"model file not found: {path}")
-    values = np.loadtxt(path, ndmin=1)
+    values = _loadtxt(path, ndmin=1)
     if values.size < 2:
         raise UsageError(f"{path}: model file needs >= 2 lines (theta then intercept)")
     return ParamVector(values[:-1], values[-1])

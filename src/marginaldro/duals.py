@@ -5,6 +5,10 @@ exactly by selection; ``pnorm_dual`` solves the p-norm variant by
 golden-section search; ``replicate_worst_case`` averages repeated
 measurements per row before taking the CVaR, the gold-standard estimate of
 worst-case subpopulation risk.
+
+``SPEC_FIELDS`` lists the ``RobustSpec`` fields each objective reads; which
+objectives take eta, need p > 1 (``check_p``) or carry a transport plan
+follows from it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# objective -> the RobustSpec fields it reads, among alpha0, p,
+# lipschitz_ratio, eps and delta.  "marginal_confounded" is another name for
+# "marginal": spec.delta alone sets the confounding penalty
+SPEC_FIELDS = {"erm": (), "joint_cvar": ("alpha0",), "joint_pnorm": ("alpha0", "p"),
+               "marginal": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
+               "marginal_confounded": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
+               "rkhs": ("alpha0",), "bounded_holder": ("alpha0", "p", "lipschitz_ratio", "eps")}
+OBJECTIVES = tuple(SPEC_FIELDS)
+# the objectives priced by lipschitz_ratio, which carry a dense n x n plan
+PLAN_OBJECTIVES = tuple(o for o, fields in SPEC_FIELDS.items() if "lipschitz_ratio" in fields)
 
 
 @dataclass
@@ -29,7 +44,7 @@ class RobustSpec:
         (``joint_cvar``); ``joint_pnorm``, ``marginal`` and the plan
         minimizers divide by p - 1, and ``bounded_holder``'s cost
         ||x_i - x_j||^(p-1) is 1 for every pair there, so all of them raise
-        ValueError at p = 1 (``optim.check_p``).
+        ValueError at p = 1 (``check_p``).
     lipschitz_ratio : finite float >= 0
         The single smoothness hyperparameter L/eps multiplying the transport
         penalty; joint DRO is its limit as L/eps grows, not a value: the
@@ -71,6 +86,16 @@ class RobustSpec:
     def q(self) -> float:
         """Conjugate exponent p/(p-1), for p > 1."""
         return self.p / (self.p - 1.0)
+
+
+def check_p(objective: str, spec: RobustSpec):
+    """Raise ValueError at p <= 1 for the objectives that read p
+    (``SPEC_FIELDS``): their duals divide by p - 1, and bounded_holder's cost
+    ||x_i - x_j||^(p-1) is 1 for every pair there (the diagonal too), so that
+    L/eps would have no effect.  joint_cvar is the p = 1 objective."""
+    if spec.p <= 1.0 and "p" in SPEC_FIELDS[objective]:
+        raise ValueError(f"{objective} needs p > 1, got p = {spec.p:g}; "
+                         "joint_cvar is the p = 1 objective")
 
 
 def cvar_dual(values, alpha0: float) -> tuple[float, float]:

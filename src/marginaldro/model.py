@@ -81,7 +81,7 @@ class Dataset:
     confounder: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
+        self.features = _feature_matrix(self.features)
         self.labels = np.asarray(self.labels, dtype=float).ravel()
         n, d = self.features.shape
         if n < 1 or d < 1:

@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .duals import RobustSpec
+from .duals import RobustSpec, check_p, cvar_dual
 from .model import ParamVector, _feature_matrix, loss_values
 
 # default policy: eps is set so the floor term eps^(q-1)/alpha0 stays below
@@ -181,10 +181,9 @@ def robust_surrogate(params: ParamVector, eta: float, plan, dataset, kind: str,
                      spec: RobustSpec) -> float:
     """Training surrogate (1/alpha0) * max(objective, eps^(q-1)) + eta of
     ``marginal_objective`` at (theta, eta, B), confounding penalty included
-    when delta > 0."""
+    when delta > 0; ``spec.eps`` must be set, as ``ObjectiveFunction.spec``'s is."""
     losses = loss_values(kind, params, dataset.features, dataset.labels)
     dist = pairwise_distance_power(dataset.features, spec.p)
-    spec = resolve_eps(spec, losses)
     value = marginal_objective(losses, dist, eta, plan, spec)
     return max(value, floor_value(spec)) / spec.alpha0 + eta
 
@@ -332,13 +331,61 @@ def _frozen_loss_problem(losses, dist, spec: RobustSpec, eta: float = 0.0):
     ``primal_inner_sup``, ``minimize_plan`` and ``minimize_eta_plan`` pose it.
     Raises ValueError at p <= 1, for a NaN or inf ``eta`` (the fixed eta of the
     first two) and for inputs ``_check_losses_and_distances`` rejects."""
-    if spec.p <= 1.0:
-        raise ValueError(f"the plan problem needs p > 1, got p = {spec.p:g}; "
-                         "joint_cvar is the p = 1 objective")
+    check_p("marginal", spec)
     if not np.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta}")
     losses, dist = _check_losses_and_distances(losses, np.array(dist, dtype=float))
     return losses, dist, resolve_eps(spec, losses)
+
+
+def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int):
+    """Infimum of ``marginal_objective`` over plans at fixed losses and eta.
+
+    ``iters`` steps of the frozen-loss descent with eta fixed, alpha0 = 1 and
+    no floor, so the surrogate is the bare objective plus eta; the confounding
+    penalty is included when ``spec.delta`` > 0; posed as ``primal_inner_sup``.
+    Returns (best value, best plan).
+    """
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec, eta)
+    kernel = TransportKernel(dist, replace(spec, alpha0=1.0))
+    kernel.floor = 0.0
+    value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters)
+    return float(value - eta), plan
+
+
+def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int):
+    """Infimum of the floored surrogate over (eta, plan) at fixed losses.
+
+    Returns (best value, best eta, best plan) of
+    (1/alpha0) max(objective, eps^(q-1)) + eta after ``iters`` steps of the
+    frozen-loss descent from the CVaR threshold, eta projected onto
+    [0, max loss]; posed as ``minimize_plan``.
+    """
+    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
+    kernel = TransportKernel(dist, spec)
+    eta = cvar_dual(losses, spec.alpha0)[1]
+    value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters,
+                                            eta_bound=losses.max())
+    return float(value), float(eta), plan
+
+
+def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int,
+                         eta_bound: float | None = None):
+    """``iters`` projected subgradient steps on the plan at fixed losses, and
+    on eta too unless ``eta_bound`` is None; step t (from 0) has size
+    0.2 / sqrt(t + 1).  Returns the best (value, eta, plan) seen."""
+    plan = kernel.zeros()
+    best_value, best_eta, best_plan = np.inf, eta, plan
+    for t in range(iters):
+        value, wt, vec = kernel.evaluate(losses, eta, plan)
+        if value < best_value:
+            best_value, best_eta, best_plan = value, eta, plan
+        step = 0.2 / np.sqrt(t + 1.0)
+        plan = kernel.plan_step(plan, vec, step, keep=best_plan)
+        if eta_bound is not None:
+            g_eta = 1.0 - wt.sum() / kernel.alpha0
+            eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
+    return best_value, best_eta, best_plan
 
 
 def primal_inner_sup(losses, dist, eta: float, spec: RobustSpec) -> float:

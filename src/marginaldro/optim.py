@@ -1,7 +1,6 @@
 """Full-batch projected subgradient descent for the robust objectives.
 
-``SPEC_FIELDS`` lists the ``RobustSpec`` fields each objective reads; which
-objectives take eta, need p > 1 or carry a transport plan follows from it.
+``duals.SPEC_FIELDS`` lists the ``RobustSpec`` fields each objective reads.
 Every trainable objective is convex in its variables; the solver keeps the
 best iterate seen, projects eta to [0, the largest loss of the current
 iterate] and plans to the nonnegative orthant each step, and records the
@@ -14,34 +13,23 @@ extra n).  The optimum is unchanged; only the step geometry is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import RobustSpec, cvar_dual, pnorm_dual
+from .duals import (OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, RobustSpec, check_p, cvar_dual,
+                    pnorm_dual)
 from .model import (Dataset, ParamVector, _check_integer, _check_kind, loss_values,
                     loss_values_and_slopes)
 from .objectives import (
     DensePlanStep,
     TransportKernel,
-    _frozen_loss_problem,
     check_memory,
     dense_plan_bytes,
     pairwise_distance_power,
     resolve_eps,
 )
 from .variational import gram, holder_constant
-
-# objective -> the RobustSpec fields it reads, among alpha0, p,
-# lipschitz_ratio, eps and delta.  "marginal_confounded" is another name for
-# "marginal": spec.delta alone sets the confounding penalty
-SPEC_FIELDS = {"erm": (), "joint_cvar": ("alpha0",), "joint_pnorm": ("alpha0", "p"),
-               "marginal": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
-               "marginal_confounded": ("alpha0", "p", "lipschitz_ratio", "eps", "delta"),
-               "rkhs": ("alpha0",), "bounded_holder": ("alpha0", "p", "lipschitz_ratio", "eps")}
-OBJECTIVES = tuple(SPEC_FIELDS)
-# the objectives priced by lipschitz_ratio, which carry a dense n x n plan
-PLAN_OBJECTIVES = tuple(o for o, fields in SPEC_FIELDS.items() if "lipschitz_ratio" in fields)
 
 # the joint objectives reset eta to its exact minimizer every this many steps
 ETA_REFRESH = 10
@@ -74,6 +62,8 @@ class OptimizerConfig:
         _check_integer("max_iters", self.max_iters, 1)
         if not (np.isfinite(self.step0) and self.step0 > 0):
             raise ValueError(f"step0 must be finite and > 0, got {self.step0}")
+        if not isinstance(self.fit_intercept, (bool, np.bool_)):
+            raise ValueError(f"fit_intercept must be a bool, got {self.fit_intercept!r}")
 
 
 @dataclass
@@ -278,63 +268,3 @@ def _nonfinite_block(**blocks) -> str:
         if x is not None and not np.isfinite(x).all():
             return name
     return "objective"
-
-
-def check_p(objective: str, spec: RobustSpec):
-    """Raise ValueError at p <= 1 for the objectives that read p
-    (``SPEC_FIELDS``): their duals divide by p - 1, and bounded_holder's cost
-    ||x_i - x_j||^(p-1) is 1 for every pair there (the diagonal too), so that
-    L/eps would have no effect.  joint_cvar is the p = 1 objective."""
-    if spec.p <= 1.0 and "p" in SPEC_FIELDS[objective]:
-        raise ValueError(f"{objective} needs p > 1, got p = {spec.p:g}; "
-                         "joint_cvar is the p = 1 objective")
-
-
-def minimize_plan(losses, dist, eta: float, spec: RobustSpec, iters: int):
-    """Infimum of ``marginal_objective`` over plans at fixed losses and eta.
-
-    ``iters`` steps of the frozen-loss descent with eta fixed, alpha0 = 1 and
-    no floor, so the surrogate is the bare objective plus eta; the confounding
-    penalty is included when ``spec.delta`` > 0; posed as ``primal_inner_sup``.
-    Returns (best value, best plan).
-    """
-    losses, dist, spec = _frozen_loss_problem(losses, dist, spec, eta)
-    kernel = TransportKernel(dist, replace(spec, alpha0=1.0))
-    kernel.floor = 0.0
-    value, _, plan = _frozen_loss_descent(losses, kernel, eta, iters)
-    return float(value - eta), plan
-
-
-def minimize_eta_plan(losses, dist, spec: RobustSpec, iters: int):
-    """Infimum of the floored surrogate over (eta, plan) at fixed losses.
-
-    Returns (best value, best eta, best plan) of
-    (1/alpha0) max(objective, eps^(q-1)) + eta after ``iters`` steps of the
-    frozen-loss descent from the CVaR threshold, eta projected onto
-    [0, max loss]; posed as ``minimize_plan``.
-    """
-    losses, dist, spec = _frozen_loss_problem(losses, dist, spec)
-    kernel = TransportKernel(dist, spec)
-    eta = cvar_dual(losses, spec.alpha0)[1]
-    value, eta, plan = _frozen_loss_descent(losses, kernel, eta, iters,
-                                            eta_bound=losses.max())
-    return float(value), float(eta), plan
-
-
-def _frozen_loss_descent(losses, kernel: TransportKernel, eta: float, iters: int,
-                         eta_bound: float | None = None):
-    """``iters`` projected subgradient steps on the plan at fixed losses, and
-    on eta too unless ``eta_bound`` is None; step t (from 0) has size
-    0.2 / sqrt(t + 1).  Returns the best (value, eta, plan) seen."""
-    plan = kernel.zeros()
-    best_value, best_eta, best_plan = np.inf, eta, plan
-    for t in range(iters):
-        value, wt, vec = kernel.evaluate(losses, eta, plan)
-        if value < best_value:
-            best_value, best_eta, best_plan = value, eta, plan
-        step = 0.2 / np.sqrt(t + 1.0)
-        plan = kernel.plan_step(plan, vec, step, keep=best_plan)
-        if eta_bound is not None:
-            g_eta = 1.0 - wt.sum() / kernel.alpha0
-            eta = float(np.clip(eta - step * g_eta, 0.0, eta_bound))
-    return best_value, best_eta, best_plan

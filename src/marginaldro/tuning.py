@@ -8,8 +8,8 @@ ties keep the smaller lipschitz_ratio.  A grid point that fails numerically
 point fails; any other exception propagates, such as a MemoryError from the
 first grid point, or a bug.  Every spec error is a ValueError raised before
 the first grid point trains: an objective that does not read lipschitz_ratio
-(``optim.PLAN_OBJECTIVES``), a loss kind that cannot be trained, a p the
-objective cannot take (``optim.check_p``), a ratio ``RobustSpec`` rejects, a
+(``duals.PLAN_OBJECTIVES``), a loss kind that cannot be trained, a p the
+objective cannot take (``duals.check_p``), a ratio ``RobustSpec`` rejects, a
 scoring alpha0 outside (0, 1] and a holdout without replicate labels or with
 another feature dimension.
 """
@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duals import RobustSpec
+from .duals import PLAN_OBJECTIVES, RobustSpec, check_p
 from .evaluation import eval_replicates
 from .model import Dataset, _check_kind
-from .optim import (PLAN_OBJECTIVES, DivergenceError, OptimizerConfig, TrainResult,
-                    check_p, train)
+from .optim import DivergenceError, OptimizerConfig, TrainResult, train
 
 
 @dataclass

@@ -45,14 +45,13 @@ from marginaldro.datagen import SimSpec, generate, generate_replicates
 from marginaldro.duals import RobustSpec, cvar_dual, pnorm_dual
 from marginaldro.evaluation import eval_joint, eval_oracle, eval_replicates
 from marginaldro.model import Dataset, ParamVector, loss_values
-from marginaldro.objectives import pairwise_distance_power, primal_inner_sup
-from marginaldro.optim import (
-    ObjectiveFunction,
-    OptimizerConfig,
+from marginaldro.objectives import (
     minimize_eta_plan,
     minimize_plan,
-    train,
+    pairwise_distance_power,
+    primal_inner_sup,
 )
+from marginaldro.optim import ObjectiveFunction, OptimizerConfig, train
 from marginaldro.tuning import cross_validate
 
 EVAL_ALPHA = 0.05

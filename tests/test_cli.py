@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -15,8 +16,8 @@ from marginaldro.cli import (
     read_model,
     write_dataset_csv,
 )
+from marginaldro.duals import SPEC_FIELDS
 from marginaldro.model import ROW_BLOCK, Dataset
-from marginaldro.optim import SPEC_FIELDS
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -164,6 +165,51 @@ def test_train_missing_csv_names_path(workdir):
     r = run_cli("train", "--in-csv", str(workdir / "nope.csv"))
     assert r.returncode == 2
     assert "nope.csv" in r.stderr
+
+
+def test_csv_columns_are_placed_by_number(workdir):
+    csv = workdir / "d.csv"
+    csv.write_text("y_rep1,x1,y,x0,y_rep0\n1,2,3,4,5\n6,7,8,9,10\n")
+    ds = read_dataset_csv(str(csv))
+    assert ds.features.tolist() == [[4.0, 2.0], [9.0, 7.0]]
+    assert ds.labels.tolist() == [3.0, 8.0]
+    assert ds.replicates.tolist() == [[5.0, 1.0], [10.0, 6.0]]
+
+
+@pytest.mark.parametrize("kind, text, flags, message", [
+    ("csv", "", (), "empty file"),
+    ("csv", "x0,y\n", (), "no data rows"),
+    ("csv", "x0,y\n1,a\n", (), "could not parse numeric body"),
+    ("csv", "x0,y,z\n1,2\n", (), "header has 3 columns, rows have 2"),
+    ("csv", "x0,x1\n1,2\n", (), "expected columns x0..x{d-1} and y"),
+    ("csv", "x1,y\n1,2\n", (), "expected columns x0..x{d-1} and y"),
+    ("csv", "x0,y\n1,0.5\n", ("--loss", "logistic"),
+     "classification labels must be 0/1 or -1/+1"),
+    ("csv", "x0,y,xtra\n1,2,3\n", (), "unexpected column 'xtra'"),
+    ("csv", "x0,x2,y\n1,2,3\n", (), "unexpected column 'x2'"),
+    ("csv", "x0,y,x0\n1,2,3\n", (), "unexpected column 'x0'"),
+    ("csv", "x0,y,y_rep1\n1,2,3\n", (), "unexpected column 'y_rep1'"),
+    ("csv", "x0,y,w\n1,2,3\n", (), "unexpected column 'w'"),
+    ("model", "1.0\n", (), "model file needs >= 2 lines"),
+    ("model", "", (), "model file needs >= 2 lines"),
+])
+def test_bad_input_file_is_one_error_line(workdir, capsys, kind, text, flags, message):
+    """Each exits 2 with one ``error:`` line on stderr and no numpy warning."""
+    path = workdir / "input"
+    path.write_text(text)
+    if kind == "csv":
+        argv = ["train", "--in-csv", str(path), "--iters", "2",
+                "--out-model", str(workdir / "m.txt")]
+    else:
+        write_line_csv(workdir / "lin.csv")
+        argv = ["eval", "--model", str(path), "--in-csv", str(workdir / "lin.csv"),
+                "--out-csv", str(workdir / "out.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, *flags])
+    err = capsys.readouterr().err
+    assert code == 2 and [str(w.message) for w in caught] == []
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
 def test_train_divergence_exit_code(workdir):

@@ -134,6 +134,11 @@ def test_dataset_validation():
         Dataset([[1.0], [2.0]], [1.0, 2.0], replicates=[[1.0]])
     with pytest.raises(ValueError):
         Dataset([[1.0], [2.0]], [1.0, 2.0], group=[0.0, 2.0])
+    # features are read by the 2-d rule of the distance builds: a vector is
+    # neither one d-dimensional point nor n 1-d points
+    for features in (np.array([1.0, 2.0, 3.0]), np.ones((3, 1, 1)), np.array(1.0)):
+        with pytest.raises(ValueError, match=r"features must be a 2-d \(n, d\) array"):
+            Dataset(features, np.array([5.0]))
     # no replicate column, or a 3-d array with n rows, is not m >= 1 labels per row
     for replicates in (np.empty((3, 0)), np.ones((3, 2, 1)), np.ones(3)):
         with pytest.raises(ValueError, match=r"replicates must be an \(n, m\) matrix"):

@@ -17,12 +17,14 @@ from marginaldro.objectives import (
     marginal_objective,
     pairwise_distance_power,
     plan_adjustments,
+    minimize_eta_plan,
+    minimize_plan,
     primal_inner_sup,
     resolve_eps,
     robust_surrogate,
     squared_distances,
 )
-from marginaldro.optim import ObjectiveFunction, minimize_eta_plan, minimize_plan
+from marginaldro.optim import ObjectiveFunction
 from marginaldro.variational import bounded_holder_objective, gram, median_bandwidth
 
 TWO_POINT = dict(

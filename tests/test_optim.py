@@ -7,17 +7,10 @@ import pytest
 import marginaldro.objectives as objectives
 import marginaldro.optim as optim
 from marginaldro.datagen import SimSpec, generate
-from marginaldro.duals import RobustSpec, cvar_dual, pnorm_dual
+from marginaldro.duals import (OBJECTIVES, PLAN_OBJECTIVES, SPEC_FIELDS, RobustSpec, cvar_dual,
+                               pnorm_dual)
 from marginaldro.model import Dataset, ParamVector, loss_residual_slopes, loss_values
-from marginaldro.optim import (
-    OBJECTIVES,
-    PLAN_OBJECTIVES,
-    SPEC_FIELDS,
-    DivergenceError,
-    ObjectiveFunction,
-    OptimizerConfig,
-    train,
-)
+from marginaldro.optim import DivergenceError, ObjectiveFunction, OptimizerConfig, train
 
 
 def linear_dataset(n=60, slope=2.0):
@@ -183,6 +176,11 @@ def test_optimizer_config_validation():
     assert OptimizerConfig(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         OptimizerConfig(step0=0.0)
+    # a truthy string or number would otherwise fit an intercept
+    for fit_intercept in ("no", 0, 1.0, None):
+        with pytest.raises(ValueError, match="fit_intercept must be a bool"):
+            OptimizerConfig(fit_intercept=fit_intercept)
+    assert not OptimizerConfig(fit_intercept=np.bool_(False)).fit_intercept
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -213,9 +211,9 @@ def test_p1_rejected_before_distances(monkeypatch, objective):
         losses, dist = np.arange(4.0), np.ones((4, 4))
         for minimizer_spec in (spec, replace(spec, delta=0.05)):
             with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
-                optim.minimize_plan(losses, dist, 0.0, minimizer_spec, iters=2)
+                objectives.minimize_plan(losses, dist, 0.0, minimizer_spec, iters=2)
             with pytest.raises(ValueError, match="p > 1.*joint_cvar"):
-                optim.minimize_eta_plan(losses, dist, minimizer_spec, iters=2)
+                objectives.minimize_eta_plan(losses, dist, minimizer_spec, iters=2)
     # p = 1 is the joint CVaR objective, which still trains
     train(ds, "absolute_deviation", spec, OptimizerConfig(objective="joint_cvar", max_iters=2))
 
@@ -327,6 +325,24 @@ def test_objective_function_value_matches_train_trace():
 
     assert robust_surrogate(ParamVector(w[:-1], w[-1]), 0.3, plan, ds, "absolute_deviation",
                             fn.spec) == pytest.approx(v1)
+
+
+def test_robust_surrogate_takes_the_eps_train_resolved():
+    """The reference surrogate resolves no eps of its own: at train's best
+    iterate it needs train's spec, and then gives train's objective.  Eps
+    resolved at the trained params instead of the zero model would read
+    1.62198 here, not 1.62116."""
+    ds = generate(SimSpec(n=200, d=1, variant="toy_1d", seed=0))
+    spec = RobustSpec(alpha0=0.3, p=1.5, lipschitz_ratio=2.0)
+    result = train(ds, "absolute_deviation", spec,
+                   OptimizerConfig(objective="marginal", max_iters=200, step0=0.5,
+                                   fit_intercept=False))
+    best = (result.params, result.eta, result.plan, ds, "absolute_deviation")
+    with pytest.raises(ValueError, match="spec.eps is unset"):
+        objectives.robust_surrogate(*best, spec)
+    fn_spec = ObjectiveFunction(ds, "absolute_deviation", spec, "marginal").spec
+    assert objectives.robust_surrogate(*best, fn_spec) == pytest.approx(result.objective,
+                                                                       rel=1e-12)
 
 
 def test_plan_step_matches_materialized_step():
