@@ -11,7 +11,6 @@ from .datagen import SimSpec, generate, generate_replicates
 from .duals import RobustSpec, cvar_dual, pnorm_dual, replicate_worst_case
 from .evaluation import (
     RiskReport,
-    eval_group_split,
     eval_joint,
     eval_oracle,
     eval_replicates,
@@ -46,7 +45,6 @@ __all__ = [
     "bounded_holder_objective",
     "cross_validate",
     "cvar_dual",
-    "eval_group_split",
     "eval_joint",
     "eval_oracle",
     "eval_replicates",

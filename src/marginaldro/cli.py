@@ -138,7 +138,7 @@ def _build_parser():
     c.add_argument("--out-csv", default="-")
 
     r = command("repro", "run a scripted experiment, write CSV bundle", cmd_repro)
-    r.add_argument("figure", help=f"one of {', '.join(FIGURES)}")
+    r.add_argument("figure", choices=FIGURES)
     r.add_argument("--outdir", default=".")
     return parser, sub.choices
 
@@ -176,7 +176,11 @@ def _apply_config_defaults(subparsers, command, path):
 def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("DRO_SEED", "0"))
+    text = os.environ.get("DRO_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"DRO_SEED must be an integer, got {text!r}") from None
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -295,10 +299,13 @@ def write_model(params: ParamVector, path):
 def read_model(path) -> ParamVector:
     if not os.path.exists(path):
         raise UsageError(f"model file not found: {path}")
-    values = _loadtxt(path, ndmin=1)
-    if values.size < 2:
-        raise UsageError(f"{path}: model file needs >= 2 lines (theta then intercept)")
-    return ParamVector(values[:-1], values[-1])
+    try:
+        values = _loadtxt(path, ndmin=1)
+        if values.size < 2:
+            raise UsageError(f"{path}: model file needs >= 2 lines (theta then intercept)")
+        return ParamVector(values[:-1], values[-1])
+    except ValueError as err:  # unparsable or non-finite values
+        raise UsageError(f"{path}: {err}") from None
 
 
 def _write_rows(path, header, rows):
@@ -458,9 +465,6 @@ def _subset(ds: Dataset, idx) -> Dataset:
 # ---------------------------------------------------------------- repro
 
 def cmd_repro(args) -> int:
-    if args.figure not in FIGURES:
-        raise UsageError(f"unknown figure id {args.figure!r}; valid ids: "
-                         + ", ".join(FIGURES))
     os.makedirs(args.outdir, exist_ok=True)
     header, rows = FIGURES[args.figure](_seed_of(args))
     path = os.path.join(args.outdir, f"{args.figure}.csv")

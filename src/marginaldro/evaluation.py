@@ -24,9 +24,6 @@ from .model import (Dataset, ParamVector, loss_values, pointwise_losses, _check_
 
 ORACLE_EVAL_ROWS = 20000
 
-# eval_group_split skips a column when either side of its split has fewer rows
-GROUP_SPLIT_MIN_ROWS = 10
-
 
 @dataclass
 class RiskReport:
@@ -96,39 +93,6 @@ def eval_joint(params: ParamVector, dataset: Dataset, kind: str, alphas) -> Risk
     """Worst-case risk sweep over raw per-example losses."""
     losses = loss_values(kind, params, dataset.features, dataset.labels)
     return _sweep(losses, alphas, "joint")
-
-
-@dataclass
-class GroupSplitResult:
-    column: int
-    worst_loss: float | None
-    n_zero: int
-    n_one: int
-    skipped: str | None = None
-
-
-def eval_group_split(params: ParamVector, dataset: Dataset, kind: str,
-                     columns) -> list[GroupSplitResult]:
-    """Worst of the two group-mean losses for each flagged binary column.
-
-    Splits with fewer than ``GROUP_SPLIT_MIN_ROWS`` rows on either side are
-    skipped with a reason rather than scored.
-    """
-    losses = loss_values(kind, params, dataset.features, dataset.labels)
-    out = []
-    for col in columns:
-        values = dataset.features[:, col]
-        if not np.isin(values, (0.0, 1.0)).all():
-            raise ValueError(f"column {col} is not binary")
-        ones = values == 1.0
-        n1, n0 = int(ones.sum()), int((~ones).sum())
-        if min(n0, n1) < GROUP_SPLIT_MIN_ROWS:
-            out.append(GroupSplitResult(
-                col, None, n0, n1, skipped=f"a split side has < {GROUP_SPLIT_MIN_ROWS} rows"))
-            continue
-        worst = max(float(losses[ones].mean()), float(losses[~ones].mean()))
-        out.append(GroupSplitResult(col, worst, n0, n1))
-    return out
 
 
 def loss_matrix(kind: str, params: ParamVector, features, replicates) -> np.ndarray:

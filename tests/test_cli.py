@@ -192,9 +192,11 @@ def test_csv_columns_are_placed_by_number(workdir):
     ("csv", "x0,y,w\n1,2,3\n", (), "unexpected column 'w'"),
     ("model", "1.0\n", (), "model file needs >= 2 lines"),
     ("model", "", (), "model file needs >= 2 lines"),
+    ("model", "abc\n1.0\n", (), "could not convert string 'abc'"),
+    ("model", "1.0\nnan\n", (), "parameters must be finite"),
 ])
 def test_bad_input_file_is_one_error_line(workdir, capsys, kind, text, flags, message):
-    """Each exits 2 with one ``error:`` line on stderr and no numpy warning."""
+    """Each exits 2 with one ``error:`` line that names the file, and no numpy warning."""
     path = workdir / "input"
     path.write_text(text)
     if kind == "csv":
@@ -209,7 +211,8 @@ def test_bad_input_file_is_one_error_line(workdir, capsys, kind, text, flags, me
         code = main([*argv, *flags])
     err = capsys.readouterr().err
     assert code == 2 and [str(w.message) for w in caught] == []
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert message in err, err
 
 
 def test_train_divergence_exit_code(workdir):
@@ -608,6 +611,12 @@ def test_dro_seed_env_fallback():
     assert a.stdout == b.stdout
 
 
+def test_bad_dro_seed_names_the_variable():
+    r = run_cli("gen", "--variant", "toy_1d", "--n", "5", env={"DRO_SEED": "abc"})
+    assert r.returncode == 2
+    assert r.stderr == "error: DRO_SEED must be an integer, got 'abc'\n"
+
+
 def test_binary_label_mapping(workdir):
     csv = workdir / "cls.csv"
     with open(csv, "w") as fh:
@@ -623,9 +632,10 @@ def test_binary_label_mapping(workdir):
 
 
 def test_repro_unknown_id_lists_valid(workdir):
-    r = run_cli("repro", "fig_bogus", "--outdir", str(workdir))
+    r = run_cli("repro", "fig_nope", "--outdir", str(workdir))
     assert r.returncode == 2
-    assert "fig_toy" in r.stderr
+    assert "invalid choice" in r.stderr and "fig_toy" in r.stderr
+    assert list(workdir.iterdir()) == []
 
 
 @pytest.mark.slow

@@ -6,7 +6,6 @@ import pytest
 from marginaldro.datagen import SimSpec, generate, generate_replicates
 from marginaldro.evaluation import (
     RiskReport,
-    eval_group_split,
     eval_joint,
     eval_oracle,
     eval_replicates,
@@ -129,38 +128,6 @@ def test_joint_dominates_replicates():
     pooled = Dataset(np.repeat(ds.features, 20, axis=0), ds.replicates.ravel())
     joint = eval_joint(p, pooled, "absolute_deviation", ALPHAS)
     assert np.all(joint.risks >= rep.risks - 1e-10)
-
-
-def test_eval_group_split():
-    rng = np.random.default_rng(7)
-    n = 400
-    flag = (rng.random(n) < 0.5).astype(float)
-    x = rng.normal(size=(n, 1))
-    feats = np.column_stack([x, flag])
-    # labels: classifier that is right always on group 0, 70% on group 1
-    labels = np.where(x[:, 0] >= 0, 1.0, -1.0)
-    wrong = (flag == 1.0) & (rng.random(n) < 0.3)
-    labels[wrong] *= -1.0
-    ds = Dataset(feats, labels)
-    p = ParamVector([1.0, 0.0])
-    res = eval_group_split(p, ds, "zero_one", columns=[1])[0]
-    assert res.skipped is None
-    err1 = np.mean(labels[flag == 1.0] != np.where(x[flag == 1.0, 0] >= 0, 1.0, -1.0))
-    assert res.worst_loss == pytest.approx(err1)
-
-    # perfect classifier scores zero on every attribute
-    ds2 = Dataset(feats, np.where(x[:, 0] >= 0, 1.0, -1.0))
-    assert eval_group_split(p, ds2, "zero_one", columns=[1])[0].worst_loss == 0.0
-
-    # constant column is skipped with a reason
-    feats3 = np.column_stack([x, np.ones(n)])
-    res = eval_group_split(p, Dataset(feats3, labels), "zero_one", columns=[1])[0]
-    assert res.worst_loss is None and "rows" in res.skipped
-
-    # non-binary flagged column is rejected
-    with pytest.raises(ValueError):
-        eval_group_split(p, Dataset(np.column_stack([x, x]), labels), "zero_one",
-                         columns=[1])
 
 
 def whole_array_loss_matrix(kind, params, features, replicates):

@@ -1,10 +1,10 @@
-"""Which commands load scipy.
+"""Which commands load scipy, and what ``from marginaldro import *`` binds.
 
 Only the conditional-risk oracle (``scipy.special.erf``), the logistic
 loss (``scipy.special.expit``) and the strong-duality oracle
 ``objectives.primal_inner_sup`` (``scipy.optimize``) need scipy, and they
 import it on first use: importing the package or its CLI, and every other
-command, leaves it unloaded.  Each check runs in a fresh interpreter, since
+command, leaves it unloaded.  Each scipy check runs in a fresh interpreter, since
 this one has imported scipy long ago.
 """
 
@@ -57,6 +57,14 @@ def files(tmp_path):
                       tmp_path / "bin.csv")
     (tmp_path / "m.txt").write_text("0.5\n0.0\n0.1\n")
     return tmp_path
+
+
+def test_star_import_binds_each_public_name_once():
+    names = marginaldro.__all__
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from marginaldro import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
 
 
 def test_import_loads_no_scipy():
