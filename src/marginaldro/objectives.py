@@ -16,8 +16,11 @@ objective.
 
 ``TransportKernel`` holds the surrogate value, hinge weights and fused plan
 step of ``marginal`` training and the plan minimizers; ``bounded_holder``
-shares its ``DensePlanStep``, but its value lives in ``optim``.  The
-value-only functions here are the references both are checked against.
+shares its ``DensePlanStep``, but its value lives in ``optim``.  The plan
+step is one pass over fixed row blocks that skips the rows it provably
+leaves at zero and takes each block's sums from one float64 copy
+(``_plan_pass``).  The value-only functions here are the references both
+are checked against.
 """
 
 from __future__ import annotations
@@ -203,8 +206,10 @@ class DensePlanStep:
     ``plan_step`` makes one pass over fixed row blocks of the plan, on the
     module's worker threads, and accumulates c and the penalty of the new
     plan in float64 as it goes; ``statistics`` returns them for that plan
-    without reading it again.  The blocks do not depend on the worker
-    count, so neither do the results.
+    without reading it again.  The step keeps the float64 row sums of the
+    plans it made or wrote, so it knows their all-zero rows, and skips the
+    rows a step provably leaves at zero (``_plan_pass``).  The blocks do not
+    depend on the worker count, so neither do the results.
     """
 
     def __init__(self, pen_dist: np.ndarray):
@@ -212,26 +217,31 @@ class DensePlanStep:
         self.dtype = plan_dtype(n)
         self.pen_dist = dense_array(pen_dist.shape, self.dtype)
         self.pen_dist[...] = pen_dist
+        # an idle row stays zero only if no penalty entry is negative (or NaN)
+        self._skips = n > 0 and bool(self.pen_dist.min() >= 0)
         workers = min(WORKERS, -(-n // BLOCK_ROWS))  # at most one per row block
         self._scratches = dense_array((workers, min(BLOCK_ROWS, n) + 1, n))
-        self._spare = None
-        self._stats = (None, None, None)  # (plan plan_step wrote, c, penalty)
+        self._spare = self._spare_rows = None  # a plan buffer and its row sums
+        self._last = (None, None, None, None)  # (plan last made or written, row sums, c, penalty)
 
     def zeros(self) -> np.ndarray:
         """A zero plan in the step's shape and dtype."""
-        return dense_array(self.pen_dist.shape, self.dtype)
+        plan = dense_array(self.pen_dist.shape, self.dtype)
+        n = plan.shape[0]
+        self._last = (plan, np.zeros(n), np.zeros(n), 0.0)
+        return plan
 
     def statistics(self, plan: np.ndarray):
         """(c, <pen_dist, B>) of ``plan``, both accumulated in float64.
 
-        For the array the last ``plan_step`` wrote they come from that pass
-        (the array must not be modified in between); any other plan gets a
-        fresh pass, which is not cached.
+        For the array the last ``plan_step`` wrote, or ``zeros`` made, they
+        come from that pass (the array must not be modified in between); any
+        other plan gets a fresh pass, which is not cached.
         """
-        if plan is self._stats[0]:
-            return self._stats[1:]
+        if plan is self._last[0]:
+            return self._last[2:]
         plan = np.asarray(plan)
-        return _plan_pass(lambda r0, r1, scratch: plan[r0:r1], self.pen_dist, self._scratches)
+        return _plan_pass(plan, plan, self.pen_dist, self._scratches)[1:]
 
     def plan_grad(self, vec) -> np.ndarray:
         """The plan gradient as a new n x n array; no solver builds it, it is
@@ -252,33 +262,47 @@ class DensePlanStep:
         made like ``plan`` on first use, and ``plan`` becomes the spare.
         ``plan`` is returned untouched when ``vec`` is None.  The n^2
         preconditions the plan block: its gradient scales like 1/n^2 while
-        optimal entries are O(1).  Each row block gets
-        max(((B + u_i) - u_j) - s pen_dist, 0) with u = s vec, s = step n^2,
-        and then its statistics, while it is still in cache.
+        optimal entries are O(1).  Row i gets
+        max(((B_i + u_i) - u) - s pen_dist_i, 0) with u = s vec, s = step n^2,
+        and then its statistics, while it is still in cache.  Row i is idle
+        when its input is all zero, u_i = 0 and no u_j is negative: before
+        the maximum each of its entries is then +0.0 or negative, so it
+        comes out all +0.0.  The step knows the zero rows of the plans it
+        made or wrote, from their row sums; ``_plan_pass`` skips idle rows
+        where they are many, and clears them in the spare where its old
+        contents were not zero.  Any other plan has every row stepped.
         """
         if vec is None:
             return plan
-        out = plan
+        known = self._row_sums(plan)
+        out, old = plan, None
         if plan is keep:
             if self._spare is None or self._spare is plan:
                 self._spare = dense_array(plan.shape, plan.dtype)
-            out, self._spare = self._spare, plan
+                self._spare_rows = np.zeros(plan.shape[0])
+            out, old = self._spare, self._spare_rows
+            self._spare, self._spare_rows = plan, known
         n = plan.shape[0]
         scale = step * n * n
         u = (scale * vec).astype(self.dtype)
         s = self.dtype.type(scale)
-
-        def block(r0, r1, scratch):
-            pen = _rows_view(scratch, r1 - r0, n, self.dtype)
-            np.multiply(self.pen_dist[r0:r1], s, out=pen)
-            blk = np.add(plan[r0:r1], u[r0:r1, None], out=out[r0:r1])
-            blk -= u
-            blk -= pen
-            return np.maximum(blk, 0.0, out=blk)
-
-        c, penalty = _plan_pass(block, self.pen_dist, self._scratches)
-        self._stats = (out, c, penalty)
+        live = stale = None
+        if known is not None and self._skips and 0 < s < np.inf and np.all(u >= 0):
+            live = (known != 0) | (u != 0)
+            if out is not plan:
+                stale = ~live if old is None else ~live & (old != 0)
+        rows, c, penalty = _plan_pass(plan, out, self.pen_dist, self._scratches,
+                                      u, s, live, stale)
+        self._last = (out, rows, c, penalty)
+        if out is self._spare:
+            self._spare_rows = rows
         return out
+
+    def _row_sums(self, plan):
+        """Row sums of ``plan`` if the step made or wrote it, else None."""
+        if plan is self._last[0]:
+            return self._last[1]
+        return self._spare_rows if plan is self._spare else None
 
 
 class TransportKernel(DensePlanStep):
@@ -467,53 +491,130 @@ def _hinge_block(adjusted, p: float) -> float:
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
 
 
-def _plan_pass(block_fn, pen: np.ndarray, scratches: np.ndarray):
-    """(c, <pen, B>) of an n x n plan B from one pass over its fixed row blocks.
+def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
+    """(row sums, c, <pen, B>) of the n x n plan B = ``out``, from one pass over
+    its fixed row blocks.
 
-    ``block_fn(r0, r1, scratch)`` returns rows r0:r1 of the plan, after
-    writing them if it updates the plan; ``scratch`` is one of the caller's
-    float64 (BLOCK_ROWS + 1, n) ``scratches``, kept so no pass allocates
-    them, and the calling thread and a pool thread per further one claim
-    blocks in order.  Row sums and penalty partials are taken per block in float64.
-    Column sums run down the rows in block order: whichever worker finishes
-    the next block due adds it, and any finished blocks queued behind it,
-    so no worker waits.  c thus has the bits of ``plan_adjustments(B)``,
-    penalty partials add in block order, and nothing depends on the worker
-    count.
+    With ``u`` given, the pass first writes row i of B as the step
+    max(((src_i + u_i) - u) - s pen_i, 0) of ``src`` (``out`` or another
+    plan).  ``live`` marks the rows to step (None: all); the caller
+    guarantees that every other row comes out all +0.0, and ``stale`` marks
+    those not all zero in ``out`` now.  A block with more than half its rows
+    live is stepped whole; in any other, the live rows are gathered into the
+    worker's scratch, stepped there and scattered back, and the stale rows
+    are zeroed.  ``scratches`` are the caller's float64 (BLOCK_ROWS + 1, n)
+    arrays, one per worker, so no pass allocates them; the calling thread
+    and a pool thread per further one claim blocks in order.
+
+    The row sums, penalty partial and column sums of each block or group
+    come from one float64 copy of it in rows 1.. of the scratch.  Column
+    sums run down the rows in block order, the running sums in row 0: the
+    worker that finishes the next block due adds its own copy, then any
+    finished blocks queued behind it, cast again, so no worker waits.
+    Skipped rows are zero, so c has the bits of ``plan_adjustments(B)``.
+    Penalty partials add in block order; a gathered group's partial sums
+    only its live rows' terms, so it can differ from the whole block's in
+    the last place.  Nothing depends on the worker count.
     """
     n = pen.shape[0]
+    dtype = pen.dtype
     starts = range(0, n, BLOCK_ROWS)
-    rows = np.empty(n)
+    rows = np.zeros(n)
     penalties = [0.0] * len(starts)
     cols = np.zeros(n)
-    finished = {}  # block index -> rows not yet in cols
+    finished = {}  # block index -> rows of ``out`` not yet in cols (None: no rows)
     added = 0  # blocks already in cols
     adding = False  # a worker is adding blocks to cols
     lock = threading.Lock()
 
+    def group_views(scratch, k):
+        """(rows, penalty rows) of a group of k <= BLOCK_ROWS / 2 rows, in the
+        plan dtype: scratch rows 1..k hold the float64 copy (the rows
+        themselves in a float64 plan), then come the penalty rows, then the rows."""
+        aux = scratch.reshape(-1)[(k + 1) * n:].view(dtype)
+        blk = scratch[1:k + 1] if dtype == np.float64 else aux[k * n:2 * k * n].reshape(k, n)
+        return blk, aux[:k * n].reshape(k, n)
+
+    def gather(a, idx, rows):
+        """Rows ``idx`` of ``a``, written to ``rows``; the indices are in range,
+        and mode "clip" writes them directly, where "raise" buffers them."""
+        return np.take(a, idx, axis=0, out=rows, mode="clip")
+
+    def as_float64(blk, scratch):
+        """``blk`` itself if it is float64, else its cast into scratch rows 1.."""
+        if blk.dtype == np.float64:
+            return blk
+        copy = scratch[1:len(blk) + 1]
+        copy[...] = blk
+        return copy
+
+    def reread(key, scratch):
+        """The float64 rows ``key`` of ``out``: a slice or a gathered group."""
+        if isinstance(key, slice):
+            return as_float64(out[key], scratch)
+        return as_float64(gather(out, key, group_views(scratch, key.size)[0]), scratch)
+
+    def update(src_rows, blk, u_rows, pen_rows):
+        """Writes the step of ``src_rows`` to ``blk``; ``pen_rows`` hold s pen."""
+        np.add(src_rows, u_rows[:, None], out=blk)
+        blk -= u
+        blk -= pen_rows
+        np.maximum(blk, 0.0, out=blk)
+
+    def step(r0, r1, scratch):
+        """(key, float64 copy, penalty rows) of rows r0:r1 of ``out``, after
+        writing them; key is a slice, the gathered rows, or None if none is live."""
+        key = slice(r0, r1)
+        if live is not None:
+            idx = r0 + np.flatnonzero(live[key])
+            # a gathered row costs 1.4-1.8 stepped rows (n = 300 to 4000, 32 of
+            # 64 rows gathered), so gathering pays up to about 2/3 of a block;
+            # the scratch has room for half
+            if 2 * idx.size <= r1 - r0:
+                if stale is not None:
+                    out[r0 + np.flatnonzero(stale[key])] = 0.0
+                if not idx.size:
+                    return None, None, None
+                blk, pen_rows = group_views(scratch, idx.size)
+                gather(src, idx, blk)
+                np.multiply(gather(pen, idx, pen_rows), s, out=pen_rows)
+                update(blk, blk, u[idx], pen_rows)
+                out[idx] = blk
+                return idx, as_float64(blk, scratch), gather(pen, idx, pen_rows)
+        if u is not None:
+            pen_rows = _rows_view(scratch, r1 - r0, n, dtype)
+            np.multiply(pen[key], s, out=pen_rows)
+            update(src[key], out[key], u[key], pen_rows)
+        return key, as_float64(out[key], scratch), pen[key]
+
+    def add(copy, scratch):
+        acc = scratch[:len(copy) + 1]
+        if not np.may_share_memory(copy, acc):  # a float64 plan's own rows
+            acc[1:] = copy
+        acc[0] = cols
+        acc.sum(axis=0, out=cols)
+
     def run(i, scratch):
         nonlocal added, adding
-        r0 = starts[i]
-        r1 = min(r0 + BLOCK_ROWS, n)
-        blk = block_fn(r0, r1, scratch)
-        rows[r0:r1] = blk.sum(axis=1, dtype=np.float64)
-        penalties[i] = float(np.einsum("ij,ij->", blk, pen[r0:r1], dtype=np.float64))
+        key, copy, pen_rows = step(starts[i], min(starts[i] + BLOCK_ROWS, n), scratch)
+        if key is not None:
+            rows[key] = copy.sum(axis=1)
+            penalties[i] = float(np.einsum("ij,ij->", copy, pen_rows))
         with lock:
-            finished[i] = blk
-            if adding:
+            if adding or i != added:
+                finished[i] = key
                 return
             adding = True
         while True:
+            if key is not None:
+                add(copy, scratch)
+            added += 1
             with lock:
-                blk = finished.pop(added, None)
-                if blk is None:
+                if added not in finished:
                     adding = False
                     return
-            acc = scratch[:len(blk) + 1]
-            acc[0] = cols
-            acc[1:] = blk
-            acc.sum(axis=0, out=cols)
-            added += 1
+                key = finished.pop(added)
+            copy = None if key is None else reread(key, scratch)
 
     def work(claims, scratch):
         while (i := next(claims)) < len(starts):
@@ -527,7 +628,7 @@ def _plan_pass(block_fn, pen: np.ndarray, scratches: np.ndarray):
     for future in futures:
         if not future.cancel():
             future.result()
-    return (rows - cols) / n, sum(penalties)
+    return rows, (rows - cols) / n, sum(penalties)
 
 
 def _rows_view(scratch: np.ndarray, m: int, n: int, dtype: np.dtype) -> np.ndarray:

@@ -138,16 +138,20 @@ def test_plan_pass_does_not_wait_for_a_busy_pool(monkeypatch):
 
 
 def test_plan_step_reuses_its_row_block_scratch(monkeypatch):
-    """Each worker's (BLOCK_ROWS + 1, n) scratch is made with the step, not per pass."""
+    """Each worker's (BLOCK_ROWS + 1, n) scratch is made with the step, not per
+    pass; a step that gathers the live rows of a block gathers them there."""
     monkeypatch.setattr(objectives, "WORKERS", 2)  # the per-block buffers grow with workers
-    kernel, plan, vec = _kernel_and_plan(1100)
-    plan = kernel.plan_step(plan, vec, 0.3)
-    tracemalloc.start()
-    for _ in range(3):
+    for idle in (False, True):
+        kernel, plan, vec = _kernel_and_plan(1100)
+        if idle:  # most rows of the zero plan stay zero under a sparse vec
+            plan, vec = kernel.zeros(), _sparse_vec(np.random.default_rng(0), 1100, 0.1)
         plan = kernel.plan_step(plan, vec, 0.3)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 8 * (objectives.BLOCK_ROWS + 1) * 1100  # one worker's scratch
+        tracemalloc.start()
+        for _ in range(3):
+            plan = kernel.plan_step(plan, vec, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * (objectives.BLOCK_ROWS + 1) * 1100, idle  # one worker's scratch
 
 
 def test_fused_penalty_accumulates_in_float64():
@@ -158,17 +162,100 @@ def test_fused_penalty_accumulates_in_float64():
     assert kernel.statistics(new)[1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_fused_plan_step_entries_match_materialized_formula():
-    """Row blocks apply the broadcast update's float32 operations in its order."""
-    n, step = 1100, 0.3
-    kernel, plan, vec = _kernel_and_plan(n, seed=2)
-    scale = step * n * n
-    u = (scale * vec).astype(np.float32)
-    expected = np.maximum(((plan + u[:, None]) - u[None, :])
-                          - kernel.pen_dist * np.float32(scale), 0.0)
-    new = kernel.plan_step(plan, vec, step, keep=plan)
-    assert new.dtype == expected.dtype == np.float32
-    assert np.array_equal(new, expected)
+def _materialized_step(kernel, plan, vec, step):
+    """The plan step as one broadcast expression in the plan dtype."""
+    n = plan.shape[0]
+    u = (step * n * n * vec).astype(kernel.dtype)
+    return np.maximum(((plan + u[:, None]) - u[None, :])
+                      - kernel.pen_dist * kernel.dtype.type(step * n * n), 0.0)
+
+
+def _sparse_vec(rng, n, share, scale=30.0):
+    """A nonnegative plan vector that is zero outside about ``share`` of the
+    rows, and on the first row block, so those rows of a zero plan stay zero."""
+    vec = np.abs(rng.normal(size=n)) * scale / (n * n)
+    vec[rng.random(n) >= share] = 0.0
+    vec[:objectives.BLOCK_ROWS] = 0.0
+    return vec
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The ``live`` mask of every stepping pass (None: every row stepped)."""
+    seen = []
+    plan_pass = objectives._plan_pass
+
+    def spy(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
+        if u is not None:
+            seen.append(None if live is None else live.copy())
+        return plan_pass(src, out, pen, scratches, u, s, live, stale)
+
+    monkeypatch.setattr(objectives, "_plan_pass", spy)
+    return seen
+
+
+def _check_step(kernel, plan, vec, step, keep=None):
+    """Steps ``plan`` and checks the new plan's bits and statistics."""
+    expected = _materialized_step(kernel, plan, vec, step)
+    new = kernel.plan_step(plan, vec, step, keep=keep)
+    assert new.dtype == expected.dtype == kernel.dtype
+    assert new.tobytes() == expected.tobytes()  # -0.0 would differ here
+    c, penalty = kernel.statistics(new)
+    assert np.array_equal(c, plan_adjustments(new))
+    reference = np.sum(kernel.pen_dist.astype(np.float64) * new.astype(np.float64))
+    assert penalty == pytest.approx(reference, rel=1e-12, abs=0.0)
+    return new
+
+
+def test_fused_plan_step_entries_match_materialized_formula(passes):
+    """Row blocks apply the broadcast update's operations in its order, for
+    a plan with no zero row and for plans the step wrote whose idle rows
+    (all zero, u_i = 0, no negative u) it skips: in place, around the kept
+    plan, and into a spare whose old rows are nonzero where rows are idle now."""
+    for n in (300, 1100):  # float64 and float32 plans
+        passes.clear()
+        kernel, plan, vec = _kernel_and_plan(n, seed=2)
+        assert kernel.dtype == (np.float32 if n >= objectives.FLOAT32_PLAN_N else np.float64)
+        _check_step(kernel, plan, vec, 0.3, keep=plan)
+
+        rng = np.random.default_rng(4)
+        zero = kernel.zeros()
+        written = _check_step(kernel, zero, _sparse_vec(rng, n, 1.0), 0.3, keep=zero)
+        old = written.copy()
+        # a long step zeroes most rows; it goes to the spare, the zero plan's buffer
+        sparse = _check_step(kernel, written, _sparse_vec(rng, n, 0.1), 3.0, keep=written)
+        assert sparse is zero
+        vec = _sparse_vec(rng, n, 0.1)
+        idle = (sparse.sum(axis=1) == 0) & (vec == 0)
+        assert np.any(idle & (old.sum(axis=1) > 0))  # rows the spare must clear
+        new = _check_step(kernel, sparse, vec, 0.3, keep=sparse)
+        assert new is written
+        assert _check_step(kernel, new, _sparse_vec(rng, n, 0.1), 0.3) is new  # in place
+
+        assert passes[0] is None and all(live is not None for live in passes[1:])
+        # the skipping steps gathered the live rows of some blocks and skipped others
+        counts = [live[r0:r0 + objectives.BLOCK_ROWS].sum() for live in passes[2:]
+                  for r0 in range(0, n, objectives.BLOCK_ROWS)]
+        assert min(counts) == 0 and any(0 < k <= objectives.BLOCK_ROWS // 2 for k in counts)
+
+
+def test_plan_step_skips_no_row_it_cannot_prove_idle(passes):
+    """A plan the step did not write, or a vec with a negative entry, gets
+    every row stepped, and a zero row can then come out nonzero."""
+    n = 300
+    kernel, _, _ = _kernel_and_plan(n)
+    rng = np.random.default_rng(5)
+    zero = kernel.zeros()
+    written = _check_step(kernel, zero, _sparse_vec(rng, n, 0.1), 0.3)
+    vec = _sparse_vec(rng, n, 0.1)
+    idle = (written.sum(axis=1) == 0) & (vec == 0)
+    assert idle.sum() > n // 2
+    lifting = vec.copy()
+    lifting[np.flatnonzero(~idle)[0]] = -1.0  # lifts every other row
+    new = _check_step(kernel, written, lifting, 0.3, keep=written)
+    assert np.all(new[idle].sum(axis=1) > 0)
+    _check_step(kernel, written.copy(), vec, 0.3)  # a copy the step did not write
+    assert passes[0] is not None and passes[1:] == [None, None]
 
 
 def test_plan_step_writes_around_the_kept_plan():

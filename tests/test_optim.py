@@ -373,11 +373,14 @@ def test_plan_step_matches_materialized_step():
 
 def test_train_bitwise_independent_of_worker_count(monkeypatch):
     """Plan blocks reduce in block order, so one or two workers give the same bits."""
-    cases = [(generate(SimSpec(n=300, d=2, variant="confounded", seed=3)), 40,
-              PLAN_OBJECTIVES),
-             (generate(SimSpec(n=1100, d=1, variant="toy_1d", seed=3)), 8, ("marginal",))]
     spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, delta=0.05)
-    for ds, iters, names in cases:
+    toy = generate(SimSpec(n=1100, d=1, variant="toy_1d", seed=3))
+    cases = [(generate(SimSpec(n=300, d=2, variant="confounded", seed=3)), spec, 40,
+              PLAN_OBJECTIVES),
+             (toy, spec, 8, ("marginal",)),
+             # most rows idle: blocks are skipped or their live rows gathered
+             (toy, replace(spec, lipschitz_ratio=100.0, delta=0.0), 40, ("marginal",))]
+    for ds, spec, iters, names in cases:
         for objective in names:
             runs = []
             for workers in (1, 2):
@@ -391,6 +394,42 @@ def test_train_bitwise_independent_of_worker_count(monkeypatch):
             assert np.array_equal(one.params.theta, two.params.theta)
             assert one.params.intercept == two.params.intercept and one.eta == two.eta
             assert one.plan.dtype == two.plan.dtype and np.array_equal(one.plan, two.plan)
+
+
+def test_train_matches_a_plain_dense_plan_step(monkeypatch):
+    """The package's plan pass, which skips idle rows, trains to the bits of
+    a plain dense step: the broadcast update, ``plan_adjustments`` and a
+    float64 penalty; objectives agree to rounding of the penalty's sum."""
+    def plain_step(self, plan, vec, step, keep=None):
+        if vec is None:
+            return plan
+        n = plan.shape[0]
+        u = (step * n * n * vec).astype(self.dtype)
+        return np.maximum(((plan + u[:, None]) - u[None, :])
+                          - self.pen_dist * self.dtype.type(step * n * n), 0.0)
+
+    def plain_statistics(self, plan):
+        return (objectives.plan_adjustments(plan),
+                float(np.sum(self.pen_dist.astype(np.float64) * plan.astype(np.float64))))
+
+    toy = generate(SimSpec(n=1100, d=1, variant="toy_1d", seed=0))
+    confounded = generate(SimSpec(n=300, d=2, variant="confounded", seed=1))
+    cases = [(toy, "marginal", RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=100.0)),
+             (confounded, "marginal_confounded",
+              RobustSpec(alpha0=0.1, p=2.0, lipschitz_ratio=10.0, eps=0.05, delta=0.05)),
+             (confounded, "bounded_holder", RobustSpec(alpha0=0.1, p=1.5, lipschitz_ratio=10.0))]
+    for ds, objective, spec in cases:
+        opt = OptimizerConfig(objective=objective, max_iters=40, step0=0.5, fit_intercept=False)
+        fused = train(ds, "absolute_deviation", spec, opt)
+        with monkeypatch.context() as patch:
+            patch.setattr(objectives.DensePlanStep, "plan_step", plain_step)
+            patch.setattr(objectives.DensePlanStep, "statistics", plain_statistics)
+            plain = train(ds, "absolute_deviation", spec, opt)
+        assert np.array_equal(fused.params.theta, plain.params.theta), objective
+        assert fused.params.intercept == plain.params.intercept and fused.eta == plain.eta
+        assert fused.plan.dtype == plain.plan.dtype
+        assert fused.plan.tobytes() == plain.plan.tobytes(), objective
+        np.testing.assert_allclose(fused.trace, plain.trace, rtol=1e-12, atol=0.0)
 
 
 def test_value_grad_reads_an_edited_plan_afresh():
