@@ -17,10 +17,11 @@ objective.
 ``TransportKernel`` holds the surrogate value, hinge weights and fused plan
 step of ``marginal`` training and the plan minimizers; ``bounded_holder``
 shares its ``DensePlanStep``, but its value lives in ``optim``.  The plan
-step is one pass over fixed row blocks that skips the rows it provably
-leaves at zero and takes each block's sums from one float64 copy
-(``_plan_pass``).  The value-only functions here are the references both
-are checked against.
+step is one pass over the rows in units, in row order: fixed row blocks
+with most rows live, stepped whole, and compacted groups of the other live
+rows; it skips the rows it provably leaves at zero and takes each unit's
+sums from one float64 copy (``_plan_pass``).  The value-only functions
+here are the references both are checked against.
 """
 
 from __future__ import annotations
@@ -203,13 +204,16 @@ class DensePlanStep:
     ``plan_step`` steps around the best iterate the solver keeps, into a
     spare buffer of its own, so the solver holds one plan reference.
 
-    ``plan_step`` makes one pass over fixed row blocks of the plan, on the
+    ``plan_step`` makes one pass over the plan's rows in units, on the
     module's worker threads, and accumulates c and the penalty of the new
     plan in float64 as it goes; ``statistics`` returns them for that plan
     without reading it again.  The step keeps the float64 row sums of the
     plans it made or wrote, so it knows their all-zero rows, and skips the
-    rows a step provably leaves at zero (``_plan_pass``).  The blocks do not
-    depend on the worker count, so neither do the results.
+    rows a step provably leaves at zero.  A unit is a fixed row block with
+    more than 2/3 of its rows live, stepped whole, or a compacted group of
+    the live rows between such blocks, in row order (``_plan_units``; the
+    cut comes from the measured cost of a gathered row).  The units follow
+    from the live rows, not the worker count, and so do the results.
     """
 
     def __init__(self, pen_dist: np.ndarray):
@@ -268,9 +272,11 @@ class DensePlanStep:
         when its input is all zero, u_i = 0 and no u_j is negative: before
         the maximum each of its entries is then +0.0 or negative, so it
         comes out all +0.0.  The step knows the zero rows of the plans it
-        made or wrote, from their row sums; ``_plan_pass`` skips idle rows
-        where they are many, and clears them in the spare where its old
-        contents were not zero.  Any other plan has every row stepped.
+        made or wrote, from their row sums, and passes the live rows to
+        ``_plan_pass``: it steps blocks of mostly live rows whole and the
+        other live rows in compacted groups, in row order, and clears the
+        idle rows of the spare whose old contents were not zero, once per
+        step.  Any other plan has every row stepped.
         """
         if vec is None:
             return plan
@@ -491,46 +497,83 @@ def _hinge_block(adjusted, p: float) -> float:
     return float(((p - 1.0) * np.mean(h**p)) ** (1.0 / p))
 
 
+def _plan_units(live, capacity):
+    """The units of a stepping pass, in row order, and the mask of the rows
+    stepped whole.
+
+    A ``BLOCK_ROWS`` block with more than 2/3 of its rows ``live`` is a unit
+    of its own, a slice stepped whole; the live rows between two such blocks
+    are gathered, in row order, into groups of at most ``capacity`` rows,
+    each an index array.  Near the cut (32 to 40 of each 64 rows live, the
+    groups full, one or two workers on a 2-core Xeon), a gathered row costs
+    1.1-1.3 stepped rows in float32 plans at n = 1100 to 4000 and 1.4-1.5
+    in float64 plans at n = 300, so gathering pays below 1/1.5 = 2/3 of a
+    block live at every size measured.  The units follow from ``live``
+    alone, never from the worker count.
+    """
+    n = live.size
+    starts = np.arange(0, n, BLOCK_ROWS)
+    sizes = np.minimum(n - starts, BLOCK_ROWS)
+    whole = 3 * np.add.reduceat(live, starts, dtype=np.intp) > 2 * sizes
+    units, r0 = [], 0
+    for b0 in [*starts[whole].tolist(), n]:  # each whole block, then the end
+        idx = r0 + np.flatnonzero(live[r0:b0])
+        # capacity is 0 only at n = 1, where a live row is a whole block
+        units += [idx[j:j + capacity] for j in range(0, idx.size, max(capacity, 1))]
+        if b0 < n:
+            units.append(slice(b0, min(b0 + BLOCK_ROWS, n)))
+        r0 = b0 + BLOCK_ROWS
+    return units, np.repeat(whole, sizes)
+
+
 def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
     """(row sums, c, <pen, B>) of the n x n plan B = ``out``, from one pass over
-    its fixed row blocks.
+    its rows in units.
 
     With ``u`` given, the pass first writes row i of B as the step
     max(((src_i + u_i) - u) - s pen_i, 0) of ``src`` (``out`` or another
     plan).  ``live`` marks the rows to step (None: all); the caller
     guarantees that every other row comes out all +0.0, and ``stale`` marks
-    those not all zero in ``out`` now.  A block with more than half its rows
-    live is stepped whole; in any other, the live rows are gathered into the
-    worker's scratch, stepped there and scattered back, and the stale rows
-    are zeroed.  ``scratches`` are the caller's float64 (BLOCK_ROWS + 1, n)
-    arrays, one per worker, so no pass allocates them; the calling thread
-    and a pool thread per further one claim blocks in order.
+    those not all zero in ``out`` now.  The rows go in units, in row order
+    (``_plan_units``): a block with most rows live is stepped whole in
+    place, and the other live rows are gathered, in compacted groups that
+    may span blocks, into the worker's scratch, stepped there and scattered
+    back.  The stale rows outside whole blocks are zeroed first, at once.
+    ``scratches`` are the caller's float64 (min(BLOCK_ROWS, n) + 1, n)
+    arrays, one per worker, so no pass allocates them; a group fills half
+    of one.  The calling thread and a pool thread per further one claim
+    units in order.
 
-    The row sums, penalty partial and column sums of each block or group
-    come from one float64 copy of it in rows 1.. of the scratch.  Column
-    sums run down the rows in block order, the running sums in row 0: the
-    worker that finishes the next block due adds its own copy, then any
-    finished blocks queued behind it, cast again, so no worker waits.
-    Skipped rows are zero, so c has the bits of ``plan_adjustments(B)``.
-    Penalty partials add in block order; a gathered group's partial sums
-    only its live rows' terms, so it can differ from the whole block's in
-    the last place.  Nothing depends on the worker count.
+    The row sums, penalty partial and column sums of each unit come from
+    one float64 copy of it in rows 1.. of the scratch.  Column sums run down
+    the rows in unit order, the running sums in row 0: the worker that
+    finishes the next unit due adds its own copy, then any finished units
+    queued behind it, cast again, so no worker waits.  Rows in no unit are
+    zero, so c has the bits of ``plan_adjustments(B)``.  Penalty partials
+    add in unit order; a group's partial sums only its own rows' terms, so
+    it can differ from whole blocks' in the last place.  Nothing depends on
+    the worker count.
     """
     n = pen.shape[0]
     dtype = pen.dtype
-    starts = range(0, n, BLOCK_ROWS)
+    if live is None:
+        units = [slice(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
+    else:
+        units, whole = _plan_units(live, (scratches.shape[1] - 1) // 2)
+        if stale is not None:
+            out[np.flatnonzero(stale & ~whole)] = 0.0
     rows = np.zeros(n)
-    penalties = [0.0] * len(starts)
+    penalties = [0.0] * len(units)
     cols = np.zeros(n)
-    finished = {}  # block index -> rows of ``out`` not yet in cols (None: no rows)
-    added = 0  # blocks already in cols
-    adding = False  # a worker is adding blocks to cols
+    finished = {}  # unit index -> its rows of ``out``, not yet in cols
+    added = 0  # units already in cols
+    adding = False  # a worker is adding units to cols
     lock = threading.Lock()
 
     def group_views(scratch, k):
-        """(rows, penalty rows) of a group of k <= BLOCK_ROWS / 2 rows, in the
-        plan dtype: scratch rows 1..k hold the float64 copy (the rows
-        themselves in a float64 plan), then come the penalty rows, then the rows."""
+        """(rows, penalty rows) of a group of k rows, in the plan dtype:
+        scratch rows 1..k hold the float64 copy (the rows themselves in a
+        float64 plan), then come the penalty rows, then the rows."""
         aux = scratch.reshape(-1)[(k + 1) * n:].view(dtype)
         blk = scratch[1:k + 1] if dtype == np.float64 else aux[k * n:2 * k * n].reshape(k, n)
         return blk, aux[:k * n].reshape(k, n)
@@ -561,31 +604,29 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
         blk -= pen_rows
         np.maximum(blk, 0.0, out=blk)
 
-    def step(r0, r1, scratch):
-        """(key, float64 copy, penalty rows) of rows r0:r1 of ``out``, after
-        writing them; key is a slice, the gathered rows, or None if none is live."""
-        key = slice(r0, r1)
-        if live is not None:
-            idx = r0 + np.flatnonzero(live[key])
-            # a gathered row costs 1.4-1.8 stepped rows (n = 300 to 4000, 32 of
-            # 64 rows gathered), so gathering pays up to about 2/3 of a block;
-            # the scratch has room for half
-            if 2 * idx.size <= r1 - r0:
-                if stale is not None:
-                    out[r0 + np.flatnonzero(stale[key])] = 0.0
-                if not idx.size:
-                    return None, None, None
-                blk, pen_rows = group_views(scratch, idx.size)
-                gather(src, idx, blk)
-                np.multiply(gather(pen, idx, pen_rows), s, out=pen_rows)
-                update(blk, blk, u[idx], pen_rows)
-                out[idx] = blk
-                return idx, as_float64(blk, scratch), gather(pen, idx, pen_rows)
-        if u is not None:
-            pen_rows = _rows_view(scratch, r1 - r0, n, dtype)
-            np.multiply(pen[key], s, out=pen_rows)
-            update(src[key], out[key], u[key], pen_rows)
-        return key, as_float64(out[key], scratch), pen[key]
+    def step(key, scratch):
+        """(float64 copy, penalty rows) of the unit ``key`` of ``out``, after
+        writing it if the pass steps."""
+        if isinstance(key, slice):
+            if u is not None:
+                pen_rows = _rows_view(scratch, key.stop - key.start, n, dtype)
+                np.multiply(pen[key], s, out=pen_rows)
+                update(src[key], out[key], u[key], pen_rows)
+            return as_float64(out[key], scratch), pen[key]
+        k = key.size
+        blk, pen_rows = group_views(scratch, k)
+        gather(src, key, blk)
+        gather(pen, key, pen_rows)
+        # s pen goes to a float32 plan's copy rows, free until the cast; a
+        # float64 plan's copy is the group itself, so its pen rows are scaled
+        # in place and gathered again
+        scaled = pen_rows if dtype == np.float64 else _rows_view(scratch[1:], k, n, dtype)
+        np.multiply(pen_rows, s, out=scaled)
+        update(blk, blk, u[key], scaled)
+        out[key] = blk
+        if scaled is pen_rows:
+            gather(pen, key, pen_rows)
+        return as_float64(blk, scratch), pen_rows
 
     def add(copy, scratch):
         acc = scratch[:len(copy) + 1]
@@ -596,39 +637,38 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
 
     def run(i, scratch):
         nonlocal added, adding
-        key, copy, pen_rows = step(starts[i], min(starts[i] + BLOCK_ROWS, n), scratch)
-        if key is not None:
-            rows[key] = copy.sum(axis=1)
-            penalties[i] = float(np.einsum("ij,ij->", copy, pen_rows))
+        key = units[i]
+        copy, pen_rows = step(key, scratch)
+        rows[key] = copy.sum(axis=1)
+        penalties[i] = float(np.einsum("ij,ij->", copy, pen_rows))
         with lock:
             if adding or i != added:
                 finished[i] = key
                 return
             adding = True
         while True:
-            if key is not None:
-                add(copy, scratch)
+            add(copy, scratch)
             added += 1
             with lock:
                 if added not in finished:
                     adding = False
                     return
                 key = finished.pop(added)
-            copy = None if key is None else reread(key, scratch)
+            copy = reread(key, scratch)
 
     def work(claims, scratch):
-        while (i := next(claims)) < len(starts):
+        while (i := next(claims)) < len(units):
             run(i, scratch)
 
     claims = itertools.count()
-    futures = [_POOL.submit(work, claims, scratch) for scratch in scratches[1:]]
+    futures = [_POOL.submit(work, claims, scratch) for scratch in scratches[1:len(units)]]
     work(claims, scratches[0])
     # a pool task that never started has nothing left to claim: drop it, so
     # a busy pool, or one whose threads did not survive a fork, is not awaited
     for future in futures:
         if not future.cancel():
             future.result()
-    return rows, (rows - cols) / n, sum(penalties)
+    return rows, (rows - cols) / n, sum(penalties, 0.0)
 
 
 def _rows_view(scratch: np.ndarray, m: int, n: int, dtype: np.dtype) -> np.ndarray:

@@ -139,19 +139,23 @@ def test_plan_pass_does_not_wait_for_a_busy_pool(monkeypatch):
 
 def test_plan_step_reuses_its_row_block_scratch(monkeypatch):
     """Each worker's (BLOCK_ROWS + 1, n) scratch is made with the step, not per
-    pass; a step that gathers the live rows of a block gathers them there."""
+    pass; a step that gathers live rows into compacted groups, across block
+    edges and around whole blocks, gathers them there, and allocates no more
+    than O(n) index arrays besides."""
     monkeypatch.setattr(objectives, "WORKERS", 2)  # the per-block buffers grow with workers
-    for idle in (False, True):
+    for case in ("dense", "sparse", "pattern"):
         kernel, plan, vec = _kernel_and_plan(1100)
-        if idle:  # most rows of the zero plan stay zero under a sparse vec
-            plan, vec = kernel.zeros(), _sparse_vec(np.random.default_rng(0), 1100, 0.1)
+        rng = np.random.default_rng(0)
+        if case != "dense":  # most rows of the zero plan stay zero under a sparse vec
+            plan = kernel.zeros()
+            vec = _sparse_vec(rng, 1100, 0.1) if case == "sparse" else _pattern_vec(rng, 1100)
         plan = kernel.plan_step(plan, vec, 0.3)
         tracemalloc.start()
         for _ in range(3):
             plan = kernel.plan_step(plan, vec, 0.3)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 8 * (objectives.BLOCK_ROWS + 1) * 1100, idle  # one worker's scratch
+        assert peak < 8 * (objectives.BLOCK_ROWS + 1) * 1100, case  # one worker's scratch
 
 
 def test_fused_penalty_accumulates_in_float64():
@@ -237,6 +241,117 @@ def test_fused_plan_step_entries_match_materialized_formula(passes):
         counts = [live[r0:r0 + objectives.BLOCK_ROWS].sum() for live in passes[2:]
                   for r0 in range(0, n, objectives.BLOCK_ROWS)]
         assert min(counts) == 0 and any(0 < k <= objectives.BLOCK_ROWS // 2 for k in counts)
+
+
+# live rows per 64-row block, cycled: a whole block (50 > 2/3 of 64), two
+# sparse blocks whose 40 rows make a group across their edge and a second
+# group, a full block between groups, then a group across an idle block
+BLOCK_PATTERN = (50, 20, 20, 64, 10, 0, 30)
+
+
+def _pattern_vec(rng, n, counts=BLOCK_PATTERN, scale=30.0):
+    """A nonnegative plan vector, nonzero on ``counts[b]`` random rows of block b
+    (cycled, in proportion in a shorter last block)."""
+    vec = np.zeros(n)
+    for b, r0 in enumerate(range(0, n, objectives.BLOCK_ROWS)):
+        size = min(objectives.BLOCK_ROWS, n - r0)
+        k = counts[b % len(counts)] * size // objectives.BLOCK_ROWS
+        rows = r0 + rng.choice(size, k, replace=False)
+        vec[rows] = np.abs(rng.normal(size=k)) * scale / (n * n)
+    return vec
+
+
+def _unit_rows(unit):
+    return np.arange(unit.start, unit.stop) if isinstance(unit, slice) else unit
+
+
+def _check_units(live, n):
+    """The units of a pass over ``live``: rows strictly increasing, groups no
+    larger than the scratch holds, and every live row in exactly one unit."""
+    capacity = min(objectives.BLOCK_ROWS, n) // 2  # half the (rows + 1, n) scratch
+    units, whole = objectives._plan_units(live, capacity)
+    rows = np.concatenate([_unit_rows(unit) for unit in units] or [np.zeros(0, int)])
+    assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(np.isin(np.arange(n), rows), live | whole)
+    groups = [unit for unit in units if not isinstance(unit, slice)]
+    assert all(0 < group.size <= capacity for group in groups)
+    for unit in units:
+        if isinstance(unit, slice):
+            assert unit.start % objectives.BLOCK_ROWS == 0 and whole[unit].all()
+    return units
+
+
+def test_compacting_steps_match_materialized_formula(passes):
+    """Live rows are stepped in compacted groups that span block edges, with
+    whole blocks between them; entries keep the broadcast update's bits in
+    place, around the kept plan and into a spare with stale rows, and c
+    keeps the bits of ``plan_adjustments``."""
+    for n in (300, 1100):  # float64 and float32 plans
+        passes.clear()
+        kernel, _, _ = _kernel_and_plan(n, seed=6)
+        rng = np.random.default_rng(7)
+        zero = kernel.zeros()
+        dense = _check_step(kernel, zero, np.abs(rng.normal(size=n)) * 30 / n**2, 0.3,
+                            keep=zero)
+        old = dense.copy()
+        # one pattern of live rows from here on; a long step zeroes every
+        # other row, so each later step's live rows are the pattern
+        pattern = _pattern_vec(rng, n) != 0
+        vecs = [_pattern_vec(np.random.default_rng(seed), n) for seed in range(3)]
+        for vec in vecs:
+            vec[~pattern] = 0.0
+            vec[pattern & (vec == 0)] = 1.0 / n**2
+        first = _check_step(kernel, dense, vecs[0], 30.0, keep=dense)
+        assert first is zero
+        whole = objectives._plan_units(pattern, min(objectives.BLOCK_ROWS, n) // 2)[1]
+        assert np.any(~pattern & ~whole & (old.sum(axis=1) > 0))  # stale rows to clear
+        spare = _check_step(kernel, first, vecs[1], 0.3, keep=first)  # into the stale spare
+        assert spare is dense
+        assert _check_step(kernel, spare, vecs[2], 0.3) is spare  # in place
+
+        assert len(passes) == 4 and all(np.array_equal(live, pattern) for live in passes[2:])
+        units = _check_units(pattern, n)
+        kinds = "".join("w" if isinstance(unit, slice) else "g" for unit in units)
+        assert "gwg" in kinds  # a whole block between groups
+        edges = [unit[0] // objectives.BLOCK_ROWS != unit[-1] // objectives.BLOCK_ROWS
+                 for unit in units if not isinstance(unit, slice)]
+        assert any(edges)  # a group across a block edge
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 65, 129])
+def test_compacting_steps_at_small_and_edge_sizes(n, passes):
+    """Float64 plans of any size, sparse vecs: the groups fit the step's scratch."""
+    kernel, _, _ = _kernel_and_plan(n, seed=n)
+    assert kernel.dtype == np.float64
+    assert kernel._scratches.shape[1:] == (min(objectives.BLOCK_ROWS, n) + 1, n)
+    rng = np.random.default_rng(n)
+    plan = kernel.zeros()
+    for t, share in enumerate((0.6, 0.3, 0.3, 0.5, 0.1)):
+        vec = np.abs(rng.normal(size=n)) * 30 / n**2
+        vec[rng.random(n) >= share] = 0.0
+        plan = _check_step(kernel, plan, vec, 0.3, keep=plan if t % 2 else None)
+    for live in passes:
+        _check_units(live, n)
+
+
+def test_compacting_step_bitwise_independent_of_worker_count(monkeypatch):
+    """A chain of compacting steps gives the same c and penalty on 1, 2 or 3 workers."""
+    for n in (300, 1100):
+        runs = []
+        for workers in (1, 2, 3):
+            with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+                monkeypatch.setattr(objectives, "WORKERS", workers)
+                monkeypatch.setattr(objectives, "_POOL", pool)
+                kernel, _, _ = _kernel_and_plan(n, seed=8)
+                assert len(kernel._scratches) == workers
+                rng = np.random.default_rng(9)
+                plan, stats = kernel.zeros(), []
+                for _ in range(4):
+                    plan = kernel.plan_step(plan, _pattern_vec(rng, n), 0.3, keep=plan)
+                    c, penalty = kernel.statistics(plan)
+                    stats.append((c.tobytes(), penalty))
+                runs.append(stats)
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_plan_step_skips_no_row_it_cannot_prove_idle(passes):

@@ -372,13 +372,13 @@ def test_plan_step_matches_materialized_step():
 
 
 def test_train_bitwise_independent_of_worker_count(monkeypatch):
-    """Plan blocks reduce in block order, so one or two workers give the same bits."""
+    """Plan units reduce in row order, so one or two workers give the same bits."""
     spec = RobustSpec(alpha0=0.3, p=2.0, lipschitz_ratio=2.0, delta=0.05)
     toy = generate(SimSpec(n=1100, d=1, variant="toy_1d", seed=3))
     cases = [(generate(SimSpec(n=300, d=2, variant="confounded", seed=3)), spec, 40,
               PLAN_OBJECTIVES),
              (toy, spec, 8, ("marginal",)),
-             # most rows idle: blocks are skipped or their live rows gathered
+             # most rows idle: the live rows are stepped in compacted groups
              (toy, replace(spec, lipschitz_ratio=100.0, delta=0.0), 40, ("marginal",))]
     for ds, spec, iters, names in cases:
         for objective in names:
