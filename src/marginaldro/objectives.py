@@ -20,8 +20,9 @@ shares its ``DensePlanStep``, but its value lives in ``optim``.  The plan
 step is one pass over the rows in units, in row order: fixed row blocks
 with most rows live, stepped whole, and compacted groups of the other live
 rows; it skips the rows it provably leaves at zero and takes each unit's
-sums from one float64 copy (``_plan_pass``).  The value-only functions
-here are the references both are checked against.
+sums from one float64 copy (``_plan_pass``).  A plan no step wrote gets
+its sums on the calling thread, by block.  The value-only functions here
+are the references both are checked against.
 """
 
 from __future__ import annotations
@@ -207,9 +208,10 @@ class DensePlanStep:
     ``plan_step`` makes one pass over the plan's rows in units, on the
     module's worker threads, and accumulates c and the penalty of the new
     plan in float64 as it goes; ``statistics`` returns them for that plan
-    without reading it again.  The step keeps the float64 row sums of the
-    plans it made or wrote, so it knows their all-zero rows, and skips the
-    rows a step provably leaves at zero.  A unit is a fixed row block with
+    without reading it again, and sums any other plan on the calling
+    thread.  The step keeps the float64 row sums of the plans it made or
+    wrote, so it knows their all-zero rows, and skips the rows a step
+    provably leaves at zero.  A unit is a fixed row block with
     more than 2/3 of its rows live, stepped whole, or a compacted group of
     the live rows between such blocks, in row order (``_plan_units``; the
     cut comes from the measured cost of a gathered row).  The units follow
@@ -239,13 +241,21 @@ class DensePlanStep:
         """(c, <pen_dist, B>) of ``plan``, both accumulated in float64.
 
         For the array the last ``plan_step`` wrote, or ``zeros`` made, they
-        come from that pass (the array must not be modified in between); any
-        other plan gets a fresh pass, which is not cached.
+        come from that pass (the array must not be modified in between).  Any
+        other plan gets the reference, on the calling thread and not cached:
+        ``plan_adjustments`` and the in-order sum over BLOCK_ROWS-row blocks
+        of each block's penalty from a float64 copy of it, the bits of a
+        pass that steps every block whole.
         """
         if plan is self._last[0]:
             return self._last[2:]
         plan = np.asarray(plan)
-        return _plan_pass(plan, plan, self.pen_dist, self._scratches)[1:]
+        penalty = 0.0
+        for r0 in range(0, plan.shape[0], BLOCK_ROWS):
+            rows = slice(r0, r0 + BLOCK_ROWS)  # one float64 block alive at a time
+            penalty += float(np.einsum("ij,ij->", plan[rows].astype(np.float64, copy=False),
+                                       self.pen_dist[rows]))
+        return plan_adjustments(plan), penalty
 
     def plan_grad(self, vec) -> np.ndarray:
         """The plan gradient as a new n x n array; no solver builds it, it is
@@ -276,7 +286,8 @@ class DensePlanStep:
         ``_plan_pass``: it steps blocks of mostly live rows whole and the
         other live rows in compacted groups, in row order, and clears the
         idle rows of the spare whose old contents were not zero, once per
-        step.  Any other plan has every row stepped.
+        step.  Where it cannot prove a row idle (any other plan, a negative
+        u_j or pen_dist entry) every row is live and the units are the blocks.
         """
         if vec is None:
             return plan
@@ -292,7 +303,7 @@ class DensePlanStep:
         scale = step * n * n
         u = (scale * vec).astype(self.dtype)
         s = self.dtype.type(scale)
-        live = stale = None
+        live, stale = np.ones(n, dtype=bool), None
         if known is not None and self._skips and 0 < s < np.inf and np.all(u >= 0):
             live = (known != 0) | (u != 0)
             if out is not plan:
@@ -526,29 +537,29 @@ def _plan_units(live, capacity):
     return units, np.repeat(whole, sizes)
 
 
-def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
-    """(row sums, c, <pen, B>) of the n x n plan B = ``out``, from one pass over
+def _plan_pass(src, out, pen, scratches, u, s, live, stale=None):
+    """Writes row i of the n x n plan B = ``out`` as the step
+    max(((src_i + u_i) - u) - s pen_i, 0) of ``src`` (``out`` or another
+    plan), and returns (row sums, c, <pen, B>) of B from the same pass over
     its rows in units.
 
-    With ``u`` given, the pass first writes row i of B as the step
-    max(((src_i + u_i) - u) - s pen_i, 0) of ``src`` (``out`` or another
-    plan).  ``live`` marks the rows to step (None: all); the caller
-    guarantees that every other row comes out all +0.0, and ``stale`` marks
-    those not all zero in ``out`` now.  The rows go in units, in row order
-    (``_plan_units``): a block with most rows live is stepped whole in
-    place, and the other live rows are gathered, in compacted groups that
-    may span blocks, into the worker's scratch, stepped there and scattered
-    back.  The stale rows outside whole blocks are zeroed first, at once.
-    ``scratches`` are the caller's float64 (min(BLOCK_ROWS, n) + 1, n)
-    arrays, one per worker, so no pass allocates them; a group fills half
-    of one.  The calling thread and a pool thread per further one claim
-    units in order.
+    ``live`` marks the rows to step; the caller guarantees that every other
+    row comes out all +0.0, and ``stale`` marks those not all zero in
+    ``out`` now.  The rows go in units, in row order (``_plan_units``): a
+    block with most rows live is stepped whole in place, and the other live
+    rows are gathered, in compacted groups that may span blocks, into the
+    worker's scratch, stepped there and scattered back; with every row live
+    the units are the blocks.  The stale rows outside whole blocks are
+    zeroed first, at once.  ``scratches`` are the caller's float64
+    (min(BLOCK_ROWS, n) + 1, n) arrays, one per worker, so no pass allocates
+    them; a group fills half of one.  The calling thread and a pool thread
+    per further one claim units in order.
 
     The row sums, penalty partial and column sums of each unit come from
     one float64 copy of it in rows 1.. of the scratch.  Column sums run down
     the rows in unit order, the running sums in row 0: the worker that
     finishes the next unit due adds its own copy, then any finished units
-    queued behind it, cast again, so no worker waits.  Rows in no unit are
+    queued behind it, read again, so no worker waits.  Rows in no unit are
     zero, so c has the bits of ``plan_adjustments(B)``.  Penalty partials
     add in unit order; a group's partial sums only its own rows' terms, so
     it can differ from whole blocks' in the last place.  Nothing depends on
@@ -556,12 +567,9 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
     """
     n = pen.shape[0]
     dtype = pen.dtype
-    if live is None:
-        units = [slice(r0, min(r0 + BLOCK_ROWS, n)) for r0 in range(0, n, BLOCK_ROWS)]
-    else:
-        units, whole = _plan_units(live, (scratches.shape[1] - 1) // 2)
-        if stale is not None:
-            out[np.flatnonzero(stale & ~whole)] = 0.0
+    units, whole = _plan_units(live, (scratches.shape[1] - 1) // 2)
+    if stale is not None:
+        out[np.flatnonzero(stale & ~whole)] = 0.0
     rows = np.zeros(n)
     penalties = [0.0] * len(units)
     cols = np.zeros(n)
@@ -570,18 +578,21 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
     adding = False  # a worker is adding units to cols
     lock = threading.Lock()
 
-    def group_views(scratch, k):
-        """(rows, penalty rows) of a group of k rows, in the plan dtype:
-        scratch rows 1..k hold the float64 copy (the rows themselves in a
-        float64 plan), then come the penalty rows, then the rows."""
+    def unit_rows(a, key, scratch):
+        """Rows ``key`` of ``pen`` or of a plan ``a``: a view for a whole
+        block; a group's are gathered into ``scratch``.  Scratch rows 1..k
+        hold a group's float64 copy (the group itself in a float64 plan),
+        then come its pen rows, then a float32 plan's group.  Mode "clip"
+        writes the in-range indices directly, where "raise" buffers them."""
+        if isinstance(key, slice):
+            return a[key]
+        k = key.size
         aux = scratch.reshape(-1)[(k + 1) * n:].view(dtype)
-        blk = scratch[1:k + 1] if dtype == np.float64 else aux[k * n:2 * k * n].reshape(k, n)
-        return blk, aux[:k * n].reshape(k, n)
-
-    def gather(a, idx, rows):
-        """Rows ``idx`` of ``a``, written to ``rows``; the indices are in range,
-        and mode "clip" writes them directly, where "raise" buffers them."""
-        return np.take(a, idx, axis=0, out=rows, mode="clip")
+        if a is pen:
+            buf = aux[:k * n]
+        else:
+            buf = scratch[1:k + 1] if dtype == np.float64 else aux[k * n:2 * k * n]
+        return np.take(a, key, axis=0, out=buf.reshape(k, n), mode="clip")
 
     def as_float64(blk, scratch):
         """``blk`` itself if it is float64, else its cast into scratch rows 1.."""
@@ -591,49 +602,30 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
         copy[...] = blk
         return copy
 
-    def reread(key, scratch):
-        """The float64 rows ``key`` of ``out``: a slice or a gathered group."""
-        if isinstance(key, slice):
-            return as_float64(out[key], scratch)
-        return as_float64(gather(out, key, group_views(scratch, key.size)[0]), scratch)
-
-    def update(src_rows, blk, u_rows, pen_rows):
-        """Writes the step of ``src_rows`` to ``blk``; ``pen_rows`` hold s pen."""
-        np.add(src_rows, u_rows[:, None], out=blk)
-        blk -= u
-        blk -= pen_rows
-        np.maximum(blk, 0.0, out=blk)
-
     def step(key, scratch):
-        """(float64 copy, penalty rows) of the unit ``key`` of ``out``, after
-        writing it if the pass steps."""
-        if isinstance(key, slice):
-            if u is not None:
-                pen_rows = _rows_view(scratch, key.stop - key.start, n, dtype)
-                np.multiply(pen[key], s, out=pen_rows)
-                update(src[key], out[key], u[key], pen_rows)
-            return as_float64(out[key], scratch), pen[key]
-        k = key.size
-        blk, pen_rows = group_views(scratch, k)
-        gather(src, key, blk)
-        gather(pen, key, pen_rows)
-        # s pen goes to a float32 plan's copy rows, free until the cast; a
-        # float64 plan's copy is the group itself, so its pen rows are scaled
-        # in place and gathered again
-        scaled = pen_rows if dtype == np.float64 else _rows_view(scratch[1:], k, n, dtype)
+        """(float64 copy, pen rows) of the unit ``key`` of ``out``, after
+        writing it as the step of ``src``."""
+        grouped = not isinstance(key, slice)
+        src_rows = unit_rows(src, key, scratch)
+        blk = src_rows if grouped else out[key]
+        pen_rows = unit_rows(pen, key, scratch)
+        # s pen goes to the copy rows, free until the cast: a separate
+        # plan-dtype row buffer per worker was slower (dense_2d_variants,
+        # seed 0, 15-s pairs on a 2-core Xeon: about 4.13 s against 3.80 s,
+        # 4 of 4 pairs) and held 1 MB more.  A float64 group is its own
+        # copy, so its pen rows are scaled in place and gathered again
+        scaled = (pen_rows if grouped and dtype == np.float64
+                  else scratch[1:].reshape(-1).view(dtype)[:blk.size].reshape(blk.shape))
         np.multiply(pen_rows, s, out=scaled)
-        update(blk, blk, u[key], scaled)
-        out[key] = blk
+        np.add(src_rows, u[key][:, None], out=blk)
+        blk -= u
+        blk -= scaled
+        np.maximum(blk, 0.0, out=blk)
+        if grouped:
+            out[key] = blk
         if scaled is pen_rows:
-            gather(pen, key, pen_rows)
+            pen_rows = unit_rows(pen, key, scratch)
         return as_float64(blk, scratch), pen_rows
-
-    def add(copy, scratch):
-        acc = scratch[:len(copy) + 1]
-        if not np.may_share_memory(copy, acc):  # a float64 plan's own rows
-            acc[1:] = copy
-        acc[0] = cols
-        acc.sum(axis=0, out=cols)
 
     def run(i, scratch):
         nonlocal added, adding
@@ -646,15 +638,23 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
                 finished[i] = key
                 return
             adding = True
+        # the adding worker reads queued units again, so no worker waits:
+        # workers waiting their turn on a threading.Condition, with no queue
+        # and no re-read, were slower (measured the same way: about 4.2 s
+        # against 3.86 s, 5 of 6 pairs)
         while True:
-            add(copy, scratch)
+            acc = scratch[:len(copy) + 1]
+            if not np.may_share_memory(copy, acc):  # a float64 plan's own rows
+                acc[1:] = copy
+            acc[0] = cols
+            acc.sum(axis=0, out=cols)
             added += 1
             with lock:
                 if added not in finished:
                     adding = False
                     return
                 key = finished.pop(added)
-            copy = reread(key, scratch)
+            copy = as_float64(unit_rows(out, key, scratch), scratch)
 
     def work(claims, scratch):
         while (i := next(claims)) < len(units):
@@ -669,8 +669,3 @@ def _plan_pass(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
         if not future.cancel():
             future.result()
     return rows, (rows - cols) / n, sum(penalties, 0.0)
-
-
-def _rows_view(scratch: np.ndarray, m: int, n: int, dtype: np.dtype) -> np.ndarray:
-    """A contiguous (m, n) array of ``dtype`` over the start of float64 ``scratch``."""
-    return scratch.reshape(-1).view(dtype)[:m * n].reshape(m, n)

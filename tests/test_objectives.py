@@ -185,13 +185,12 @@ def _sparse_vec(rng, n, share, scale=30.0):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The ``live`` mask of every stepping pass (None: every row stepped)."""
+    """The ``live`` mask of every stepping pass (all true: every row stepped)."""
     seen = []
     plan_pass = objectives._plan_pass
 
-    def spy(src, out, pen, scratches, u=None, s=None, live=None, stale=None):
-        if u is not None:
-            seen.append(None if live is None else live.copy())
+    def spy(src, out, pen, scratches, u, s, live, stale=None):
+        seen.append(live.copy())
         return plan_pass(src, out, pen, scratches, u, s, live, stale)
 
     monkeypatch.setattr(objectives, "_plan_pass", spy)
@@ -236,7 +235,7 @@ def test_fused_plan_step_entries_match_materialized_formula(passes):
         assert new is written
         assert _check_step(kernel, new, _sparse_vec(rng, n, 0.1), 0.3) is new  # in place
 
-        assert passes[0] is None and all(live is not None for live in passes[1:])
+        assert passes[0].all() and not any(live.all() for live in passes[1:])
         # the skipping steps gathered the live rows of some blocks and skipped others
         counts = [live[r0:r0 + objectives.BLOCK_ROWS].sum() for live in passes[2:]
                   for r0 in range(0, n, objectives.BLOCK_ROWS)]
@@ -370,7 +369,38 @@ def test_plan_step_skips_no_row_it_cannot_prove_idle(passes):
     new = _check_step(kernel, written, lifting, 0.3, keep=written)
     assert np.all(new[idle].sum(axis=1) > 0)
     _check_step(kernel, written.copy(), vec, 0.3)  # a copy the step did not write
-    assert passes[0] is not None and passes[1:] == [None, None]
+    assert not passes[0].all() and [live.all() for live in passes[1:]] == [True, True]
+
+
+@pytest.mark.parametrize("n", [300, 1100])
+def test_statistics_of_a_plan_no_step_wrote_are_the_reference(n, monkeypatch):
+    """A copy of a plan written by compacting steps, and at n = 1100 a float64
+    plan given to the float32 kernel, get c with the bits of
+    ``plan_adjustments`` and the float64 penalty, on the calling thread:
+    with no plan pass, no pool and no n x n float64 temporary."""
+    kernel, _, _ = _kernel_and_plan(n, seed=10)
+    rng = np.random.default_rng(11)
+    plan = kernel.zeros()
+    for _ in range(3):
+        plan = kernel.plan_step(plan, _pattern_vec(rng, n), 0.3, keep=plan)
+    others = [plan.copy()]
+    if kernel.dtype == np.float32:
+        others.append(plan.astype(np.float64) * (1.0 + 2.0**-40))  # not float32 values
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("statistics of another plan start no pass and no pool task")
+
+    monkeypatch.setattr(objectives, "_plan_pass", refuse)
+    monkeypatch.setattr(objectives._POOL, "submit", refuse)
+    for other in others:
+        tracemalloc.start()
+        c, penalty = kernel.statistics(other)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(c, plan_adjustments(other))
+        reference = np.sum(kernel.pen_dist.astype(np.float64) * other.astype(np.float64))
+        assert penalty == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert peak < 2 * 8 * objectives.BLOCK_ROWS * n, peak  # two float64 row blocks
 
 
 def test_plan_step_writes_around_the_kept_plan():
